@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,8 +21,6 @@ from .geometry import ArrayGeometry, GeometryError
 from .metrics import crb_rmse
 from .sigmodel import scm, simulate
 from .estimate import music_spectrum
-from .mlesolve import structcov_mle
-from .geometry import toeplitz_embed
 
 
 def _load_config(path: str) -> xp.ExperimentConfig:
@@ -39,8 +38,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _apply_overrides(cfg: xp.ExperimentConfig, args) -> xp.ExperimentConfig:
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -94,13 +91,8 @@ def cmd_estimate(args) -> int:
     xp.write_csv(path, ["estimator", "u_hat"], rows)
     if args.spectrum:
         grid = np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
-        trace: list = []
-        v = structcov_mle(
-            scm(y),
-            cfg.geometry,
-            xp._mle_config(cfg, trace),
-        )
-        spec = music_spectrum(toeplitz_embed(v), cfg.k, grid)
+        cov = xp.covariance_estimate("structcovmle", scm(y), cfg, {})
+        spec = music_spectrum(cov, cfg.k, grid)
         spath = os.path.join(args.out, f"{cfg.out_prefix}_spectrum.csv")
         xp.write_csv(spath, ["u", "value"], [[u, s] for u, s in zip(grid, spec)])
         print(f"wrote {spath}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import DoaEstimate, method1, method2, music_spectrum, root_music
-from .geometry import ArrayGeometry, coarray, toeplitz_embed
-from .metrics import TrialReport, assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
+from .geometry import ArrayGeometry, coarray, nested_completion, toeplitz_embed
+from .metrics import assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
 from .mlesolve import CompletionPlan, MleConfig, em_gridless, structcov_mle
 from .refine import multires_refine
 from .sigmodel import SnapshotMatrix, SourceScene, fb_average, scm, simulate
@@ -254,21 +255,33 @@ def _mle_config(cfg: ExperimentConfig, trace: list[float]) -> MleConfig:
     )
 
 
+# Estimators that reduce to a covariance matrix read by root-MUSIC or MUSIC.
+COVARIANCE_ESTIMATORS = ("scm-music", "fb-music", "structcovmle")
+
+
+def covariance_estimate(
+    name: str, r: np.ndarray, cfg: ExperimentConfig, diagnostics: dict
+) -> np.ndarray:
+    """Covariance of one of ``COVARIANCE_ESTIMATORS`` from the SCM ``r``."""
+    if name == "scm-music":
+        return r
+    if name == "fb-music":
+        return fb_average(r)
+    trace: list[float] = []
+    v = structcov_mle(r, cfg.geometry, _mle_config(cfg, trace))
+    diagnostics["cost_trace"] = trace
+    return toeplitz_embed(v)
+
+
 def run_estimator(
     name: str, y: SnapshotMatrix, cfg: ExperimentConfig, diagnostics: dict
 ) -> DoaEstimate:
     """Dispatch one estimator; records solver cost traces in diagnostics."""
     g = cfg.geometry
     k = cfg.k
-    if name == "scm-music":
-        return root_music(scm(y), k)
-    if name == "fb-music":
-        return root_music(fb_average(scm(y)), k)
+    if name in COVARIANCE_ESTIMATORS:
+        return root_music(covariance_estimate(name, scm(y), cfg, diagnostics), k)
     trace: list[float] = []
-    if name == "structcovmle":
-        v = structcov_mle(scm(y), g, _mle_config(cfg, trace))
-        diagnostics["cost_trace"] = trace
-        return root_music(toeplitz_embed(v), k)
     if name == "method1":
         v = structcov_mle(scm(y), g, _mle_config(cfg, trace))
         diagnostics["cost_trace"] = trace
@@ -301,6 +314,14 @@ def run_estimator(
     raise ConfigError(f"config key 'estimators': unknown estimator {name!r}")
 
 
+def _record_solver(record: dict, diagnostics: dict) -> None:
+    """Count one solver run and its ML-cost increases (descent violations)."""
+    trace = diagnostics.get("cost_trace")
+    if trace:
+        record["solver_runs"] = 1
+        record["descent_violations"] = sum(1 for a, b in zip(trace, trace[1:]) if b > a + 1e-9)
+
+
 def _trial_seed_key(axis_index: int, trial: int) -> int:
     return axis_index * 1_000_000 + trial
 
@@ -326,12 +347,7 @@ def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
         except Exception as exc:  # failures are data, not crashes
             record = {"u_hat": [], "errors": [], "failed": True, "message": str(exc)}
         record["runtime_s"] = time.perf_counter() - start
-        trace = diagnostics.get("cost_trace")
-        if trace:
-            record["solver_runs"] = 1
-            record["descent_violations"] = int(
-                sum(1 for a, b in zip(trace, trace[1:]) if b > a + 1e-9)
-            )
+        _record_solver(record, diagnostics)
         if "rounds" in diagnostics:
             record["rounds"] = diagnostics["rounds"]
         out["results"][name] = record
@@ -346,27 +362,14 @@ def _spectrum_trial(cfg: ExperimentConfig, trial: int) -> dict:
     out: dict = {"trial": trial, "spectra": {}}
     r = scm(y)
     for name in cfg.estimators:
-        diagnostics: dict = {}
-        if name == "scm-music":
-            cov = r
-        elif name == "fb-music":
-            cov = fb_average(r)
-        elif name == "structcovmle":
-            trace: list[float] = []
-            v = structcov_mle(r, cfg.geometry, _mle_config(cfg, trace))
-            cov = toeplitz_embed(v)
-            diagnostics["cost_trace"] = trace
-        else:
+        if name not in COVARIANCE_ESTIMATORS:
             raise ConfigError(
                 "config key 'estimators': single_snapshot supports scm-music, fb-music, structcovmle"
             )
-        spec = music_spectrum(cov, cfg.k, grid)
+        diagnostics: dict = {}
+        spec = music_spectrum(covariance_estimate(name, r, cfg, diagnostics), cfg.k, grid)
         rec: dict = {"spectrum": spec.tolist()}
-        if "cost_trace" in diagnostics:
-            rec["solver_runs"] = 1
-            rec["descent_violations"] = int(
-                sum(1 for a, b in zip(diagnostics["cost_trace"], diagnostics["cost_trace"][1:]) if b > a + 1e-9)
-            )
+        _record_solver(rec, diagnostics)
         out["spectra"][name] = rec
     return out
 
@@ -455,8 +458,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     of the CSVs so re-runs are byte-identical), spectra/rounds CSVs for the
     kinds that produce them, and an optional SVG plot.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, cfg.out_prefix)
     started = time.time()
@@ -470,8 +471,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     trial_rows: list[list] = []
     meta_cells: dict[str, dict] = {}
     series: dict[str, tuple[list[float], list[float]]] = {}
-    solver_runs = 0
-    descent_violations = 0
     for a, axis_value in enumerate(cfg.sweep_values):
         scene = scene_for_axis(cfg, axis_value)
         n_snap = snapshots_for_axis(cfg, axis_value)
@@ -497,8 +496,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
             summary_rows.append(
                 [axis_value, name, rmse] + biases + [crb, len(good), hit]
             )
-            solver_runs += sum(rec.get("solver_runs", 0) for rec in recs)
-            descent_violations += sum(rec.get("descent_violations", 0) for rec in recs)
             meta_cells[f"{axis_value}/{name}"] = {
                 "wallclock_ms": 1e3 * float(np.sum([rec["runtime_s"] for rec in recs])),
                 "failures": int(sum(rec["failed"] for rec in recs)),
@@ -507,23 +504,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
             xs.append(axis_value)
             ys.append(rmse)
             for rec, cell in zip(recs, cell_results):
-                report = TrialReport(
-                    trial=cell["trial"],
-                    seed=cfg.seed,
-                    estimator=name,
-                    u_hat=tuple(rec["u_hat"]),
-                    errors=tuple(rec["errors"]),
-                    runtime_s=rec["runtime_s"],
-                    diagnostics={"failed": rec["failed"]},
-                )
                 trial_rows.append(
                     [
                         axis_value,
-                        report.estimator,
-                        report.trial,
+                        name,
+                        cell["trial"],
                         "ok" if not rec["failed"] else "failed",
-                        ";".join(_fmt(x) for x in report.u_hat),
-                        ";".join(_fmt(x) for x in report.errors),
+                        ";".join(_fmt(x) for x in rec["u_hat"]),
+                        ";".join(_fmt(x) for x in rec["errors"]),
                     ]
                 )
 
@@ -540,17 +528,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     )
     if cfg.kind == "refine_arbitrary":
         _write_round_table(cfg, results, prefix)
-    meta = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "started_unix": started,
-        "elapsed_s": time.time() - started,
-        "solver_runs": solver_runs,
-        "descent_violations": descent_violations,
-        "cells": meta_cells,
-    }
-    with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    records = [rec for r in results for rec in r["results"].values()]
+    meta = _write_meta(cfg, prefix, started, records, cells=meta_cells)
     if svg:
         write_svg_lines(f"{prefix}.svg", series, log_y=True)
     return meta
@@ -589,8 +568,6 @@ def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) 
 def _run_spectrum_experiment(cfg: ExperimentConfig, prefix: str, started: float) -> dict:
     grid = np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
     trials = [_spectrum_trial(cfg, t) for t in range(cfg.trials)]
-    solver_runs = 0
-    descent_violations = 0
     for name in cfg.estimators:
         rows = []
         for i, u in enumerate(grid):
@@ -600,17 +577,23 @@ def _run_spectrum_experiment(cfg: ExperimentConfig, prefix: str, started: float)
             ["u"] + [f"trial_{t}" for t in range(cfg.trials)],
             rows,
         )
-        solver_runs += sum(tr["spectra"][name].get("solver_runs", 0) for tr in trials)
-        descent_violations += sum(
-            tr["spectra"][name].get("descent_violations", 0) for tr in trials
-        )
+    records = [rec for tr in trials for rec in tr["spectra"].values()]
+    return _write_meta(cfg, prefix, started, records)
+
+
+def _write_meta(
+    cfg: ExperimentConfig, prefix: str, started: float, records: list[dict], **extra
+) -> dict:
+    """Write ``<prefix>_meta.json``: timing plus the solver runs and descent
+    violations summed over the estimator records."""
     meta = {
         "kind": cfg.kind,
         "seed": cfg.seed,
         "started_unix": started,
         "elapsed_s": time.time() - started,
-        "solver_runs": solver_runs,
-        "descent_violations": descent_violations,
+        "solver_runs": sum(rec.get("solver_runs", 0) for rec in records),
+        "descent_violations": sum(rec.get("descent_violations", 0) for rec in records),
+        **extra,
     }
     with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -628,8 +611,6 @@ def describe_geometry(g: ArrayGeometry) -> str:
             f"holes: {', '.join(map(str, lag.holes)) if lag.holes else '(none)'}",
             f"contiguous run from 0: {lag.contiguous}",
         ]
-        from .geometry import nested_completion
-
         missing = nested_completion(g)
         lines.append(
             "hole-free completion adds: " + (", ".join(map(str, missing)) if missing else "(nothing)")

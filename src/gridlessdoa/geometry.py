@@ -10,12 +10,14 @@ entry per nonnegative lag up to the aperture) to the Hermitian sensor-domain
 covariance ``T(v)`` with ``T(v)[i, j] = v[|p_i - p_j|]`` on the upper
 triangle and conjugates below.  ``T(v)`` is the principal submatrix of the
 full Hermitian Toeplitz embedding ``Toep(v)`` at the sensor positions.
+``LagMap`` is the one implementation of that map, its adjoint and its
+inverse on hole-free coarrays; ``Toep`` is the map of ``range(aperture)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,67 +83,105 @@ class LagStructure:
 
 
 def coarray(g: ArrayGeometry) -> LagStructure:
-    """Difference coarray of an on-grid geometry."""
-    pos = g.grid_positions()
-    diffs = sorted({a - b for a in pos for b in pos})
-    nonneg = tuple(d for d in diffs if d >= 0)
-    aperture = nonneg[-1] + 1
-    present = set(nonneg)
-    holes = tuple(k for k in range(aperture) if k not in present)
-    contiguous = aperture if not holes else holes[0]
+    """Difference coarray of an on-grid geometry, read off its lag map."""
+    counts = lag_map(g.grid_positions()).counts
+    nonneg = (0,) + tuple(int(k) for k in np.flatnonzero(counts))
+    holes = tuple(int(k) for k in np.flatnonzero(counts == 0)[1:])
     return LagStructure(
-        lags=tuple(diffs),
+        lags=tuple(-k for k in reversed(nonneg[1:])) + nonneg,
         nonneg=nonneg,
-        aperture=aperture,
-        contiguous=contiguous,
+        aperture=counts.size,
+        contiguous=holes[0] if holes else counts.size,
         holes=holes,
     )
 
 
+class LagMap:
+    """The structured map ``v -> T(v)`` of one on-grid geometry, with its adjoint.
+
+    Keyed by the integer positions through ``lag_map``, which caches one
+    instance per geometry.  The upper-triangle pairs (i < j) are kept in
+    row-major order together with their lags ``p_j - p_i``; the adjoint and
+    the per-lag averages are ``np.bincount`` sums over them.
+    """
+
+    def __init__(self, positions: tuple[int, ...]):
+        p = np.asarray(positions, dtype=np.int64)
+        self.n = p.size
+        self.aperture = int(p[-1] - p[0]) + 1
+        self.lag_idx = np.abs(p[:, None] - p[None, :])
+        self.conj_mask = p[:, None] > p[None, :]
+        self.rows, self.cols = np.triu_indices(self.n, k=1)
+        self.lags = self.lag_idx[self.rows, self.cols]
+        self.counts = np.bincount(self.lags, minlength=self.aperture)  # pairs per lag; [0] is 0
+
+    def assemble(self, v: np.ndarray) -> np.ndarray:
+        """T(v): ``v[|p_i - p_j|]`` on and above the diagonal, conjugates below."""
+        out = v[self.lag_idx]
+        out[self.conj_mask] = np.conj(out[self.conj_mask])
+        return out
+
+    def lag_sums(self, upper: np.ndarray) -> np.ndarray:
+        """Per-lag sums of entries listed in upper-pair order (index 0 stays 0)."""
+        return np.bincount(self.lags, upper.real, self.aperture) + 1j * np.bincount(
+            self.lags, upper.imag, self.aperture
+        )
+
+    def adjoint(self, a: np.ndarray) -> np.ndarray:
+        """Adjoint under the real trace inner product, for Hermitian ``a``.
+
+        ``Re tr(A T(v)) == Re <v, adjoint(A)>`` for every lag vector v, with
+        ``<x, y> = sum conj(x) * y``.
+        """
+        out = 2.0 * self.lag_sums(a[self.rows, self.cols])
+        out[0] = np.trace(a).real
+        return out
+
+    def extract(self, a: np.ndarray) -> np.ndarray:
+        """Lags of a structured matrix: lag 0 from the mean diagonal, every
+        other lag from its first upper-triangle pair; absent lags read 0."""
+        out = np.zeros(self.aperture, dtype=np.complex128)
+        lags, first = np.unique(self.lags, return_index=True)
+        out[lags] = a[self.rows[first], self.cols[first]]
+        out[0] = np.mean(np.diag(a)).real
+        return out
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Images ``T(e_a)`` of the real unit vectors of ``pack_lags``, (2A-1, n, n)."""
+        i, j = np.indices((self.n, self.n))
+        lag = self.lag_idx
+        out = np.zeros((2 * self.aperture - 1, self.n, self.n), dtype=np.complex128)
+        out[np.maximum(2 * lag - 1, 0), i, j] = 1.0
+        off = lag > 0
+        out[2 * lag[off], i[off], j[off]] = np.where(self.conj_mask[off], -1j, 1j)
+        return out
+
+
 @lru_cache(maxsize=None)
-def _lag_index(positions: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry |p_i - p_j| index matrix and the conjugation mask (i > j)."""
-    p = np.asarray(positions, dtype=np.int64)
-    idx = np.abs(p[:, None] - p[None, :])
-    conj = p[:, None] > p[None, :]
-    return idx, conj
+def lag_map(positions: tuple[int, ...]) -> LagMap:
+    return LagMap(positions)
+
+
+def _square_map(a: np.ndarray, g: ArrayGeometry) -> LagMap:
+    if a.shape != (g.m, g.m):
+        raise GeometryError(f"matrix shape {a.shape} does not match geometry size {g.m}")
+    return lag_map(g.grid_positions())
 
 
 def structured_matrix(v: np.ndarray, g: ArrayGeometry) -> np.ndarray:
     """Realize the lag vector as the M x M structured Hermitian matrix T(v)."""
     v = np.asarray(v, dtype=np.complex128).ravel()
-    lag = coarray(g)
-    if v.size != lag.aperture:
-        raise GeometryError(f"lag vector length {v.size} != aperture {lag.aperture}")
-    idx, conj = _lag_index(g.grid_positions())
-    out = v[idx]
-    out[conj] = np.conj(out[conj])
-    return out
+    lm = lag_map(g.grid_positions())
+    if v.size != lm.aperture:
+        raise GeometryError(f"lag vector length {v.size} != aperture {lm.aperture}")
+    return lm.assemble(v)
 
 
 def toeplitz_embed(v: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrix with first row v."""
     v = np.asarray(v, dtype=np.complex128).ravel()
-    n = v.size
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    out = v[idx]
-    lower = np.tril_indices(n, k=-1)
-    out[lower] = np.conj(out[lower])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _lag_pairs(positions: tuple[int, ...]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Upper-triangle index pairs (i, j), j > i, grouped by lag p_j - p_i."""
-    p = positions
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            groups.setdefault(p[j] - p[i], []).append((i, j))
-    return {
-        lag: (np.array([ij[0] for ij in pairs]), np.array([ij[1] for ij in pairs]))
-        for lag, pairs in groups.items()
-    }
+    return lag_map(tuple(range(v.size))).assemble(v)
 
 
 def adjoint_structured(a: np.ndarray, g: ArrayGeometry) -> np.ndarray:
@@ -151,15 +191,7 @@ def adjoint_structured(a: np.ndarray, g: ArrayGeometry) -> np.ndarray:
     lag vector v, with ``<x, y> = sum conj(x) * y``.
     """
     a = np.asarray(a, dtype=np.complex128)
-    lag = coarray(g)
-    if a.shape != (g.m, g.m):
-        raise GeometryError(f"matrix shape {a.shape} does not match geometry size {g.m}")
-    out = np.zeros(lag.aperture, dtype=np.complex128)
-    out[0] = np.trace(a).real
-    for m, (ii, jj) in _lag_pairs(g.grid_positions()).items():
-        if m:
-            out[m] = 2.0 * a[ii, jj].sum()
-    return out
+    return _square_map(a, g).adjoint(a)
 
 
 def extract_lags(a: np.ndarray, g: ArrayGeometry) -> np.ndarray:
@@ -168,17 +200,34 @@ def extract_lags(a: np.ndarray, g: ArrayGeometry) -> np.ndarray:
     Only defined for hole-free coarrays (the map is invertible there); each
     lag is read from one representative upper-triangle entry.
     """
-    lag = coarray(g)
-    if lag.holes:
+    if coarray(g).holes:
         raise GeometryError("lag extraction undefined: coarray has holes")
     a = np.asarray(a, dtype=np.complex128)
-    pairs = _lag_pairs(g.grid_positions())
-    out = np.zeros(lag.aperture, dtype=np.complex128)
-    out[0] = np.mean(np.diag(a)).real
-    for m in range(1, lag.aperture):
-        ii, jj = pairs[m]
-        out[m] = a[ii[0], jj[0]]
-    return out
+    return _square_map(a, g).extract(a)
+
+
+# -- real parameterization -------------------------------------------------
+#
+# A lag vector v (v[0] real) is handled as the real vector
+# x = [v0, Re v1, Im v1, ..., Re v_{A-1}, Im v_{A-1}] of length 2A - 1.
+
+
+def pack_lags(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=np.complex128).ravel()
+    x = np.empty(2 * v.size - 1)
+    x[0] = v[0].real
+    x[1::2] = v[1:].real
+    x[2::2] = v[1:].imag
+    return x
+
+
+def unpack_lags(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64).ravel()
+    ap = (x.size + 1) // 2
+    v = np.empty(ap, dtype=np.complex128)
+    v[0] = x[0]
+    v[1:] = x[1::2] + 1j * x[2::2]
+    return v
 
 
 def nested_two_level(s1: int, s2: int) -> tuple[int, ...]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import numerics as nx
@@ -14,19 +12,6 @@ from .sigmodel import SourceScene, manifold
 
 class MetricsError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    """One trial's outcome for the experiment harness."""
-
-    trial: int
-    seed: int
-    estimator: str
-    u_hat: tuple[float, ...]
-    errors: tuple[float, ...]
-    runtime_s: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 def assign_errors(estimate: DoaEstimate, truth: SourceScene) -> np.ndarray:
@@ -81,27 +66,16 @@ def kl_gaussian(r_true: np.ndarray, sigma_model: np.ndarray) -> float:
     zero exactly at equality.
     """
     r_true = np.asarray(r_true, dtype=np.complex128)
-    m = r_true.shape[0]
-    logdet_sigma = nx.logdet_pd(np.asarray(sigma_model, dtype=np.complex128))
-    logdet_r = nx.logdet_pd(r_true)
-    trace_term = float(np.trace(nx.chol_solve(sigma_model, r_true)).real)
-    return logdet_sigma - logdet_r - m + trace_term
+    return nx.gaussian_nll(sigma_model, r_true) - nx.logdet_pd(r_true) - r_true.shape[0]
 
 
 def _scene_parameters(scene: SourceScene) -> np.ndarray:
     """Real parameter vector (u, Re/Im upper triangle of R_x, noise_var)."""
     rx = scene.source_covariance()
-    k = scene.k
-    parts = [np.asarray(scene.u, dtype=np.float64)]
-    diag = np.real(np.diag(rx))
-    parts.append(diag)
-    off = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            off.extend([rx[i, j].real, rx[i, j].imag])
-    parts.append(np.asarray(off))
-    parts.append(np.asarray([scene.noise_var]))
-    return np.concatenate(parts)
+    upper = rx[np.triu_indices(scene.k, k=1)]
+    off = np.stack([upper.real, upper.imag], axis=1).ravel()
+    u = np.asarray(scene.u, dtype=np.float64)
+    return np.concatenate([u, np.real(np.diag(rx)), off, [scene.noise_var]])
 
 
 def _covariance_from_parameters(theta: np.ndarray, k: int, g: ArrayGeometry) -> np.ndarray:
@@ -110,12 +84,9 @@ def _covariance_from_parameters(theta: np.ndarray, k: int, g: ArrayGeometry) -> 
     off = theta[2 * k : 2 * k + k * (k - 1)]
     noise = theta[-1]
     rx = np.diag(diag.astype(np.complex128))
-    idx = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            rx[i, j] = off[idx] + 1j * off[idx + 1]
-            rx[j, i] = np.conj(rx[i, j])
-            idx += 2
+    rows, cols = np.triu_indices(k, k=1)
+    rx[rows, cols] = off[0::2] + 1j * off[1::2]
+    rx[cols, rows] = np.conj(rx[rows, cols])
     phi = manifold(u, g)
     return phi @ rx @ phi.conj().T + noise * np.eye(g.m)
 

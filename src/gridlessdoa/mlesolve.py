@@ -24,7 +24,6 @@ lags the physical array never observes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -34,9 +33,12 @@ from .geometry import (
     ArrayGeometry,
     adjoint_structured,
     coarray,
+    lag_map,
     nested_completion,
+    pack_lags,
     structured_matrix,
     toeplitz_embed,
+    unpack_lags,
 )
 from .sigmodel import SnapshotMatrix, scm
 
@@ -69,7 +71,6 @@ class MleConfig:
     newton_tol: float = 1e-9
     max_newton: int = 80
     max_backtracks: int = 60
-    estimate_lambda: bool = False
     callback: Callable[[int, np.ndarray, float], None] | None = None
 
     def __post_init__(self) -> None:
@@ -129,102 +130,7 @@ class SubproblemWeights:
     geometry: ArrayGeometry
 
 
-# -- real parameterization -------------------------------------------------
-#
-# A lag vector v (v[0] real) is handled as the real vector
-# x = [v0, Re v1, Im v1, ..., Re v_{A-1}, Im v_{A-1}] of length 2A - 1.
-
-
-def pack_lags(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    x = np.empty(2 * v.size - 1)
-    x[0] = v[0].real
-    x[1::2] = v[1:].real
-    x[2::2] = v[1:].imag
-    return x
-
-
-def unpack_lags(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    ap = (x.size + 1) // 2
-    v = np.empty(ap, dtype=np.complex128)
-    v[0] = x[0]
-    v[1:] = x[1::2] + 1j * x[2::2]
-    return v
-
-
-@dataclass(frozen=True)
-class _MapCache:
-    """Precomputed assembly/adjoint data for one structured map."""
-
-    aperture: int
-    nparams: int
-    lag_idx: np.ndarray       # |p_i - p_j| per entry
-    conj_mask: np.ndarray     # True strictly below the diagonal
-    basis: np.ndarray         # (nparams, n, n) images of the real unit vectors
-    pair_rows: tuple[np.ndarray, ...]
-    pair_cols: tuple[np.ndarray, ...]
-
-
-@lru_cache(maxsize=None)
-def _map_cache(positions: tuple[int, ...]) -> _MapCache:
-    g = ArrayGeometry(tuple(float(p) for p in positions))
-    ap = coarray(g).aperture
-    p = np.asarray(positions)
-    lag_idx = np.abs(p[:, None] - p[None, :])
-    conj_mask = p[:, None] > p[None, :]
-    nparams = 2 * ap - 1
-    basis = np.empty((nparams, len(positions), len(positions)), dtype=np.complex128)
-    for a in range(nparams):
-        x = np.zeros(nparams)
-        x[a] = 1.0
-        basis[a] = structured_matrix(unpack_lags(x), g)
-    # Upper-triangle representatives per positive lag (lag 0 is the trace).
-    rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    cols: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for m in range(1, ap):
-        ii, jj = np.nonzero((lag_idx == m) & ~conj_mask)
-        rows.append(ii)
-        cols.append(jj)
-    return _MapCache(
-        aperture=ap,
-        nparams=nparams,
-        lag_idx=lag_idx,
-        conj_mask=conj_mask,
-        basis=basis,
-        pair_rows=tuple(rows),
-        pair_cols=tuple(cols),
-    )
-
-
-def _assemble(cache: _MapCache, v: np.ndarray) -> np.ndarray:
-    out = v[cache.lag_idx]
-    out[cache.conj_mask] = np.conj(out[cache.conj_mask])
-    return out
-
-
-def _adjoint_packed(cache: _MapCache, a: np.ndarray) -> np.ndarray:
-    """pack(adjoint(A)) for Hermitian A: the gradient of x -> Re tr(A Map(x))."""
-    out = np.empty(cache.nparams)
-    out[0] = np.trace(a).real
-    for m in range(1, cache.aperture):
-        ii = cache.pair_rows[m]
-        s = 2.0 * a[ii, cache.pair_cols[m]].sum() if ii.size else 0.0
-        out[2 * m - 1] = np.real(s)
-        out[2 * m] = np.imag(s)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _ula_positions(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 # -- costs and gradients -----------------------------------------------------
-
-
-def _model_matrix(v: np.ndarray, lam: float, g: ArrayGeometry) -> np.ndarray:
-    return structured_matrix(v, g) + lam * np.eye(g.m)
 
 
 def _check_toeplitz_feasible(v: np.ndarray) -> None:
@@ -239,25 +145,19 @@ def _check_toeplitz_feasible(v: np.ndarray) -> None:
 def ml_cost(v: np.ndarray, lam: float, r: np.ndarray, g: ArrayGeometry) -> float:
     """log det(T(v) + lam I) + tr((T(v) + lam I)^{-1} R)."""
     _check_toeplitz_feasible(v)
-    sigma = _model_matrix(v, lam, g)
-    low = nx.chol_factor(sigma)
-    return nx.logdet_from_factor(low) + float(
-        np.trace(nx.chol_solve_factored(low, np.asarray(r, dtype=np.complex128))).real
-    )
+    return nx.gaussian_nll(structured_matrix(v, g) + lam * np.eye(g.m), r)
 
 
 def ml_gradient(v: np.ndarray, lam: float, r: np.ndarray, g: ArrayGeometry) -> np.ndarray:
     """Gradient of ``ml_cost`` in the real lag parameterization (length 2A-1)."""
-    sigma = _model_matrix(v, lam, g)
-    p = nx.inv_pd(sigma)
+    p = nx.inv_pd(structured_matrix(v, g) + lam * np.eye(g.m))
     grad_matrix = nx.hermitian_part(p - p @ np.asarray(r, dtype=np.complex128) @ p)
     return pack_lags(adjoint_structured(grad_matrix, g))
 
 
 def subproblem_objective(weights: SubproblemWeights, v: np.ndarray) -> float:
     """Objective of the convex subproblem at v (no barrier term)."""
-    cache = _map_cache(weights.geometry.grid_positions())
-    mapped = _assemble(cache, np.asarray(v, dtype=np.complex128))
+    mapped = structured_matrix(v, weights.geometry)
     sigma = mapped + np.diag(weights.noise_diag)
     low = nx.chol_factor(sigma)
     tr_lin = float(np.trace(weights.weight @ mapped).real)
@@ -278,51 +178,51 @@ class _BarrierProblem:
     """
 
     def __init__(self, weights: SubproblemWeights, scale: float = 1.0):
-        self.cache = _map_cache(weights.geometry.grid_positions())
-        self.toep_cache = _map_cache(_ula_positions(self.cache.aperture))
+        self.map = lag_map(weights.geometry.grid_positions())
+        self.toep = lag_map(tuple(range(self.map.aperture)))
         self.scale = max(float(scale), 1e-300)
         self.weight = nx.hermitian_part(weights.weight) / self.scale
         self.noise = np.asarray(weights.noise_diag, dtype=np.float64)
         self.data = nx.hermitian_part(weights.data_matrix) / self.scale
-        self.g_lin = _adjoint_packed(self.cache, self.weight)
+        self.g_lin = pack_lags(self.map.adjoint(self.weight))
         self.n = self.weight.shape[0]
 
     def factor(self, x: np.ndarray):
         """Cholesky factors of (Map+D, Toep) or None when infeasible."""
         v = unpack_lags(x)
-        mapped = _assemble(self.cache, v)
-        sigma = mapped + np.diag(self.noise)
-        toep = _assemble(self.toep_cache, v)
+        sigma = self.map.assemble(v) + np.diag(self.noise)
+        toep = self.toep.assemble(v)
         try:
-            return nx.chol_factor(sigma), nx.chol_factor(toep), mapped
+            return nx.chol_factor(sigma), nx.chol_factor(toep)
         except nx.NotPositiveDefiniteError:
             return None
 
     def value(self, x: np.ndarray, mu: float, factors) -> tuple[float, float]:
-        low_s, low_t, _ = factors
+        low_s, low_t = factors
         f = float(x @ self.g_lin) + float(
             np.trace(nx.chol_solve_factored(low_s, self.data)).real
         )
         return f, f - mu * nx.logdet_from_factor(low_t)
 
     def grad_hess(self, x: np.ndarray, mu: float, factors):
-        low_s, low_t, _ = factors
+        low_s, low_t = factors
         eye_n = np.eye(self.n, dtype=np.complex128)
         p = nx.hermitian_part(nx.chol_solve_factored(low_s, eye_n))
         g2 = nx.hermitian_part(p @ self.data @ p)
-        grad = self.g_lin - _adjoint_packed(self.cache, g2)
+        grad = self.g_lin - pack_lags(self.map.adjoint(g2))
 
         tinv = nx.hermitian_part(
-            nx.chol_solve_factored(low_t, np.eye(self.cache.aperture, dtype=np.complex128))
+            nx.chol_solve_factored(low_t, np.eye(self.map.aperture, dtype=np.complex128))
         )
-        grad = grad - mu * _adjoint_packed(self.toep_cache, tinv)
+        grad = grad - mu * pack_lags(self.toep.adjoint(tinv))
 
-        nb = self.cache.nparams
-        z = np.matmul(np.matmul(p[None], self.cache.basis), g2[None])
+        basis = self.map.basis
+        nb = basis.shape[0]
+        z = np.matmul(np.matmul(p[None], basis), g2[None])
         # term[a, b] = tr(B_b Z_a) = sum_ij B_b[i, j] Z_a[j, i]
-        term = z.transpose(0, 2, 1).reshape(nb, -1) @ self.cache.basis.reshape(nb, -1).T
+        term = z.transpose(0, 2, 1).reshape(nb, -1) @ basis.reshape(nb, -1).T
         h_data = np.real(term + term.T)
-        q = np.matmul(tinv[None], self.toep_cache.basis)
+        q = np.matmul(tinv[None], self.toep.basis)
         h_barrier = np.real(
             q.reshape(nb, -1) @ q.transpose(0, 2, 1).reshape(nb, -1).T
         )
@@ -413,11 +313,11 @@ def _solve_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         pass
     # Rounding made it indefinite: solve in the eigenbasis with the noise
     # floor clipped relative to the dominant curvature.
-    eig = nx.herm_eig(0.5 * (hess + hess.T).astype(np.complex128))
+    eig = nx.herm_eig(0.5 * (hess + hess.T))
     floor = max(eig.values[-1], 1.0) * 1e-14
     inv = 1.0 / np.maximum(eig.values, floor)
-    vec = eig.vectors.real
-    return -(vec * inv) @ (vec.T @ grad)
+    vec = eig.vectors
+    return -np.real((vec * inv) @ (vec.conj().T @ grad))
 
 
 def solve_subproblem(
@@ -467,49 +367,64 @@ def solve_subproblem(
 # -- outer MM loop ------------------------------------------------------------
 
 
-def _unit_lag_vector(aperture: int) -> np.ndarray:
-    v = np.zeros(aperture, dtype=np.complex128)
+def _majorization(
+    v_ref: np.ndarray, r_fit: np.ndarray, g: ArrayGeometry, noise: np.ndarray
+) -> SubproblemWeights:
+    """Subproblem whose objective majorizes the ML cost at ``v_ref``: the
+    log-det term of ``T(v) + diag(noise)`` replaced by its tangent plane."""
+    weight = nx.inv_pd(structured_matrix(v_ref, g) + np.diag(noise))
+    return SubproblemWeights(weight=weight, noise_diag=noise, data_matrix=r_fit, geometry=g)
+
+
+def _majorize_minimize(
+    fit_matrix: Callable[[np.ndarray], np.ndarray],
+    fit_geometry: ArrayGeometry,
+    noise: np.ndarray,
+    inner_iters: int,
+    r: np.ndarray,
+    g: ArrayGeometry,
+    cfg: MleConfig,
+) -> np.ndarray:
+    """The MM outer loop behind ``structcov_mle`` and ``em_gridless``.
+
+    Starts at the unit lag vector (identity model).  Each of the
+    ``outer_iters`` iterations takes the matrix to fit, ``fit_matrix(v)``,
+    and runs ``inner_iters`` subproblem solves on ``fit_geometry``, each
+    majorizing the log-det term of ``T(v) + diag(noise)`` at the current
+    iterate.  A failed line search is retried once from a jittered start.
+    The callback sees the ML cost of ``cfg.lam`` and the SCM ``r`` on the
+    physical geometry ``g``, which is non-increasing along the iterates.
+    """
+    v = np.zeros(coarray(fit_geometry).aperture, dtype=np.complex128)
     v[0] = 1.0
+    if cfg.callback is not None:
+        cfg.callback(0, v.copy(), ml_cost(v, cfg.lam, r, g))
+    for k in range(1, cfg.outer_iters + 1):
+        r_fit = fit_matrix(v)
+        for _ in range(inner_iters):
+            weights = _majorization(v, r_fit, fit_geometry, noise)
+            try:
+                v = solve_subproblem(weights, v, cfg)
+            except LineSearchError:
+                jitter = v.copy()
+                jitter[0] += 1e-8 * abs(jitter[0]) + 1e-12
+                v = solve_subproblem(weights, jitter, cfg)
+        if cfg.callback is not None:
+            cfg.callback(k, v.copy(), ml_cost(v, cfg.lam, r, g))
     return v
-
-
-def _crude_lambda_search(v: np.ndarray, lam: float, r: np.ndarray, g: ArrayGeometry) -> float:
-    grid = lam * np.logspace(-0.5, 0.5, 11)
-    costs = [ml_cost(v, float(c), r, g) for c in grid]
-    return float(grid[int(np.argmin(costs))])
 
 
 def structcov_mle(r: np.ndarray, g: ArrayGeometry, cfg: MleConfig) -> np.ndarray:
     """MM recovery of the structured covariance lag vector from an SCM.
 
     Starts at the unit lag vector (identity model), majorizes the log-det
-    term at each iterate, and solves the convex subproblem for a fixed
-    number of outer iterations.  The ML cost is non-increasing along the
-    iterate sequence.
+    term at each iterate, and solves the convex subproblem once per outer
+    iteration for a fixed number of outer iterations.  The ML cost is
+    non-increasing along the iterate sequence.
     """
     r = nx.hermitian_part(np.asarray(r, dtype=np.complex128))
-    aperture = coarray(g).aperture
-    lam = cfg.lam
-    v = _unit_lag_vector(aperture)
-    if cfg.callback is not None:
-        cfg.callback(0, v.copy(), ml_cost(v, lam, r, g))
-    eye_m = np.eye(g.m)
-    for k in range(1, cfg.outer_iters + 1):
-        w = nx.inv_pd(structured_matrix(v, g) + lam * eye_m)
-        weights = SubproblemWeights(
-            weight=w, noise_diag=np.full(g.m, lam), data_matrix=r, geometry=g
-        )
-        try:
-            v = solve_subproblem(weights, v, cfg)
-        except LineSearchError:
-            jitter = v.copy()
-            jitter[0] += 1e-8 * abs(jitter[0]) + 1e-12
-            v = solve_subproblem(weights, jitter, cfg)
-        if cfg.estimate_lambda:
-            lam = _crude_lambda_search(v, lam, r, g)
-        if cfg.callback is not None:
-            cfg.callback(k, v.copy(), ml_cost(v, lam, r, g))
-    return v
+    noise = np.full(g.m, cfg.lam)
+    return _majorize_minimize(lambda _v: r, g, noise, 1, r, g, cfg)
 
 
 # -- EM variant: interpolate missing correlation lags -------------------------
@@ -568,14 +483,9 @@ def em_majorized_cost(
     lam_m: float,
 ) -> float:
     """Inner majorized EM objective tr(B^{-1} T(v)) + tr(Sigma_y(v)^{-1} R~)."""
-    cg = plan.complete_geometry
-    d = np.diag(_complete_noise_diag(plan, lam_o, lam_m))
-    b = structured_matrix(v_ref, cg) + d
-    sigma = structured_matrix(v, cg) + d
+    noise = _complete_noise_diag(plan, lam_o, lam_m)
     r_fit = _stacked_to_complete(r_tilde, plan)
-    t1 = float(np.trace(nx.chol_solve(b, structured_matrix(v, cg))).real)
-    t2 = float(np.trace(nx.chol_solve(sigma, r_fit)).real)
-    return t1 + t2
+    return subproblem_objective(_majorization(v_ref, r_fit, plan.complete_geometry, noise), v)
 
 
 def observed_majorized_cost(
@@ -586,11 +496,7 @@ def observed_majorized_cost(
     lam_o: float,
 ) -> float:
     """Majorized objective restricted to the physical sensors."""
-    t_ref = structured_matrix(v_ref, g) + lam_o * np.eye(g.m)
-    t_v = structured_matrix(v, g)
-    t1 = float(np.trace(nx.chol_solve(t_ref, t_v)).real)
-    t2 = float(np.trace(nx.chol_solve(t_v + lam_o * np.eye(g.m), r_observed)).real)
-    return t1 + t2
+    return subproblem_objective(_majorization(v_ref, r_observed, g, np.full(g.m, lam_o)), v)
 
 
 def em_gridless(
@@ -607,31 +513,13 @@ def em_gridless(
     iterations; with no missing sensors the trajectory coincides with
     ``structcov_mle``.
     """
-    lam_o = cfg.lam
     lam_m = cfg.lam_missing
     cg = plan.complete_geometry
-    aperture = coarray(cg).aperture
-    if aperture != coarray(g).aperture:
+    if coarray(cg).aperture != coarray(g).aperture:
         raise SolverError("completion must preserve the array aperture")
-    noise = _complete_noise_diag(plan, lam_o, lam_m)
-    r_o = scm(y_o)
-    v = _unit_lag_vector(aperture)
-    if cfg.callback is not None:
-        cfg.callback(0, v.copy(), ml_cost(v, lam_o, r_o, g))
-    for k in range(1, cfg.outer_iters + 1):
-        r_tilde = em_estep(v, y_o, plan, lam_o, lam_m)
-        r_fit = _stacked_to_complete(r_tilde, plan) if plan.missing_idx else r_tilde
-        for _ in range(cfg.inner_iters):
-            b = structured_matrix(v, cg) + np.diag(noise)
-            weights = SubproblemWeights(
-                weight=nx.inv_pd(b), noise_diag=noise, data_matrix=r_fit, geometry=cg
-            )
-            try:
-                v = solve_subproblem(weights, v, cfg)
-            except LineSearchError:
-                jitter = v.copy()
-                jitter[0] += 1e-8 * abs(jitter[0]) + 1e-12
-                v = solve_subproblem(weights, jitter, cfg)
-        if cfg.callback is not None:
-            cfg.callback(k, v.copy(), ml_cost(v, lam_o, r_o, g))
-    return v
+
+    def complete_scm(v: np.ndarray) -> np.ndarray:
+        return _stacked_to_complete(em_estep(v, y_o, plan, cfg.lam, lam_m), plan)
+
+    noise = _complete_noise_diag(plan, cfg.lam, lam_m)
+    return _majorize_minimize(complete_scm, cg, noise, cfg.inner_iters, scm(y_o), g, cfg)

@@ -1,11 +1,11 @@
 """Dense complex linear algebra and root finding used throughout the package.
 
-Everything operates on small dense matrices (orders up to ~128).  The
-eigensolver is a cyclic Jacobi iteration on complex Hermitian matrices, the
-linear solver is an unpivoted Cholesky factorization (positive definite
-inputs only), and the polynomial root finder is Durand-Kerner simultaneous
-iteration.  All tolerances are relative to the input scale with an absolute
-floor of 1e-14.
+Everything operates on small dense matrices (orders up to ~128) and is
+backed by numpy's LAPACK: the Hermitian eigensolver, the Cholesky
+factorization (positive definite inputs only), and the polynomial root
+finder, which takes the eigenvalues of the companion matrix.  The wrappers
+add input checks and map failures to ``NumericsError``.  Tolerances are
+relative to the input scale with an absolute floor of 1e-14.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class NumericsError(Exception):
 
 class NotPositiveDefiniteError(NumericsError):
     """Cholesky pivot was not strictly positive."""
-
-
-class ConvergenceError(NumericsError):
-    """An iterative routine hit its iteration cap without converging."""
 
 
 @dataclass(frozen=True)
@@ -57,61 +53,17 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def herm_eig(a: np.ndarray) -> EigenPair:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+    """Eigendecomposition of a complex Hermitian matrix (LAPACK ``heevd``).
 
     The input is symmetrized on entry; an asymmetry above ``1e-8 * norm(A)``
     is an error.  Eigenvalues come back ascending and the reconstruction
     ``V diag(w) V^H`` matches the input to ~1e-14 relative.
     """
     a = _as_square_complex(a)
-    n = a.shape[0]
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > max(1e-8 * scale, ABS_FLOOR):
+    if np.linalg.norm(a - a.conj().T) > max(1e-8 * np.linalg.norm(a), ABS_FLOOR):
         raise NumericsError("matrix is not Hermitian")
-    a = hermitian_part(a)
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return EigenPair(values=a.real.reshape(1).copy(), vectors=v)
-
-    # Rotate any entry above the threshold; the resulting off-diagonal mass
-    # is ~n * thresh, far inside the 1e-10 reconstruction contract.
-    thresh = max(1e-12 * scale / n, ABS_FLOOR)
-    for _ in range(100):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                absb = abs(b)
-                if absb <= thresh:
-                    continue
-                rotated = True
-                # Classic small-angle rotation: cancellation-free and keeps
-                # |theta| <= pi/4, which Jacobi's convergence relies on.
-                phase = b / absb
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * absb)
-                t = 1.0 if tau == 0.0 else -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array(
-                    [[c, s * phase], [-s * np.conj(phase), c]], dtype=np.complex128
-                )
-                new_pp = a[p, p].real - t * absb
-                new_qq = a[q, q].real + t * absb
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = new_pp
-                a[q, q] = new_qq
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError("Jacobi sweeps did not converge")
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigenPair(values=w[order], vectors=v[:, order])
+    values, vectors = np.linalg.eigh(hermitian_part(a))
+    return EigenPair(values=values, vectors=vectors)
 
 
 def chol_factor(a: np.ndarray) -> np.ndarray:
@@ -127,14 +79,10 @@ def chol_factor(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError("matrix not positive definite") from None
 
 
-def solve_triangular(low: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
-    b = np.asarray(b, dtype=np.complex128)
-    mat = low if lower else low.conj().T
-    return np.linalg.solve(mat, b)
-
-
 def chol_solve_factored(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return solve_triangular(low, solve_triangular(low, b, lower=True), lower=False)
+    """Solve (L L^H) X = B given the lower Cholesky factor L."""
+    b = np.asarray(b, dtype=np.complex128)
+    return np.linalg.solve(low.conj().T, np.linalg.solve(low, b))
 
 
 def chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,32 +96,29 @@ def inv_pd(a: np.ndarray) -> np.ndarray:
     return hermitian_part(out)
 
 
+def logdet_from_factor(low: np.ndarray) -> float:
+    """log det(L L^H) from the lower Cholesky factor L."""
+    return float(2.0 * np.log(np.diag(low).real).sum())
+
+
 def logdet_pd(a: np.ndarray) -> float:
     """log det of a Hermitian positive definite matrix via its Cholesky factor."""
+    return logdet_from_factor(chol_factor(a))
+
+
+def gaussian_nll(a: np.ndarray, r: np.ndarray) -> float:
+    """``log det A + tr(A^{-1} R)`` for Hermitian positive definite A."""
     low = chol_factor(a)
-    return float(2.0 * np.log(np.diag(low).real).sum())
+    return logdet_from_factor(low) + float(np.trace(chol_solve_factored(low, r)).real)
 
 
-def logdet_from_factor(low: np.ndarray) -> float:
-    return float(2.0 * np.log(np.diag(low).real).sum())
+def poly_roots(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of a polynomial: the eigenvalues of its companion matrix.
 
-
-def poly_roots(coeffs: np.ndarray, max_sweeps: int = 1000) -> np.ndarray:
-    """All roots of a polynomial by Durand-Kerner simultaneous iteration.
-
-    Parameters
-    ----------
-    coeffs : array
-        Polynomial coefficients in ascending power order,
-        ``p(z) = coeffs[0] + coeffs[1] z + ... + coeffs[-1] z^degree``.
-        The leading coefficient must have magnitude above 1e-14.
-    max_sweeps : int
-        Iteration cap.  Convergence is declared when the largest update falls
-        below 1e-13 (relative to the largest iterate magnitude).
-
-    Returns
-    -------
-    roots : complex array of length ``degree``, unordered.
+    ``coeffs`` are in ascending power order,
+    ``p(z) = coeffs[0] + coeffs[1] z + ... + coeffs[-1] z^degree``, and the
+    leading coefficient must have magnitude above 1e-14.  Returns a complex
+    array of length ``degree``, unordered; a non-finite root is an error.
     """
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size < 2:
@@ -182,32 +127,10 @@ def poly_roots(coeffs: np.ndarray, max_sweeps: int = 1000) -> np.ndarray:
         raise NumericsError("polynomial has non-finite coefficients")
     if abs(c[-1]) <= ABS_FLOOR:
         raise NumericsError("leading coefficient is (numerically) zero")
-    degree = c.size - 1
-    monic = c / c[-1]
-
-    k = np.arange(degree)
-    z = 1.1 * np.exp(1j * (2.0 * np.pi * k / degree + 0.4))
-    converged = False
-    for _ in range(max_sweeps):
-        # Horner evaluation of the monic polynomial at all iterates.
-        p = np.full(degree, monic[-1], dtype=np.complex128)
-        for a in monic[-2::-1]:
-            p = p * z + a
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        step = p / denom
-        z = z - step
-        if np.max(np.abs(step)) < 1e-13 * max(1.0, np.max(np.abs(z))):
-            converged = True
-            break
-
-    # The residual bound is the actual contract; accept a cap-limited result
-    # that satisfies it (Durand-Kerner stalls on multiple roots).
-    resid = np.full(degree, c[-1], dtype=np.complex128)
-    for a in c[-2::-1]:
-        resid = resid * z + a
-    bound = 1e-8 * np.max(np.abs(c)) * np.maximum(1.0, np.abs(z)) ** degree
-    if not converged and np.any(np.abs(resid) > bound):
-        raise ConvergenceError("root finding did not converge within the sweep cap")
-    return z
+    try:
+        roots = np.roots(c[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"companion eigenvalues failed: {exc}") from None
+    if not np.all(np.isfinite(roots)):
+        raise NumericsError("polynomial has non-finite roots")
+    return roots

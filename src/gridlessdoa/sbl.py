@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nx
 from .geometry import ArrayGeometry
-from .sigmodel import SnapshotMatrix, scm, steering_matrix
+from .sigmodel import SnapshotMatrix, manifold, scm
 
 
 class SblError(Exception):
@@ -51,7 +51,7 @@ class SblState:
             grid=grid,
             gamma=np.ones(grid.size),
             lam=float(lam),
-            dictionary=steering_matrix(grid, g),
+            dictionary=manifold(grid, g),
         )
 
     def with_gamma(self, gamma: np.ndarray) -> "SblState":
@@ -72,11 +72,7 @@ class PosteriorStats:
 
 def sbl_cost(state: SblState, r: np.ndarray) -> float:
     """log det(C) + tr(C^{-1} R) for the state's model covariance C."""
-    c = state.model_covariance()
-    low = nx.chol_factor(c)
-    return nx.logdet_from_factor(low) + float(
-        np.trace(nx.chol_solve_factored(low, np.asarray(r, dtype=np.complex128))).real
-    )
+    return nx.gaussian_nll(state.model_covariance(), r)
 
 
 def sbl_em_step(state: SblState, y: SnapshotMatrix) -> tuple[PosteriorStats, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ArrayGeometry, coarray
+from .geometry import ArrayGeometry, coarray, lag_map
 from .numerics import chol_factor, herm_eig, NotPositiveDefiniteError
 
 
@@ -126,11 +126,6 @@ def manifold(u, g: ArrayGeometry) -> np.ndarray:
     return phase
 
 
-def steering_matrix(grid: np.ndarray, g: ArrayGeometry) -> np.ndarray:
-    """Dictionary of manifold columns over a grid of u values (M x G)."""
-    return manifold(np.asarray(grid, dtype=np.float64), g)
-
-
 def _complex_normal(shape: tuple[int, ...], seed: int, trial: int, stream: int) -> np.ndarray:
     """CN(0, 1) draws via Box-Muller over a Philox counter stream."""
     # Philox-4x64 takes a 128-bit key: seed in one word, (trial, stream) in the other.
@@ -195,15 +190,15 @@ def coarray_lag_estimates(r: np.ndarray, g: ArrayGeometry) -> dict[int, complex]
     ``p_a - p_b = l``; negative lags come out conjugate-symmetric by
     construction when r is Hermitian.
     """
-    pos = g.grid_positions()
-    sums: dict[int, complex] = {}
-    counts: dict[int, int] = {}
-    for a in range(g.m):
-        for b in range(g.m):
-            lag = pos[a] - pos[b]
-            sums[lag] = sums.get(lag, 0.0) + r[a, b]
-            counts[lag] = counts.get(lag, 0) + 1
-    return {lag: sums[lag] / counts[lag] for lag in sums}
+    lm = lag_map(g.grid_positions())
+    r = np.asarray(r, dtype=np.complex128)
+    below = lm.lag_sums(r[lm.cols, lm.rows])  # p_a - p_b > 0
+    above = lm.lag_sums(r[lm.rows, lm.cols])  # p_a - p_b < 0
+    out = {0: np.trace(r) / g.m}
+    for lag in np.flatnonzero(lm.counts):
+        out[int(lag)] = below[lag] / lm.counts[lag]
+        out[-int(lag)] = above[lag] / lm.counts[lag]
+    return out
 
 
 def spatial_smooth(r: np.ndarray, g: ArrayGeometry) -> np.ndarray:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from gridlessdoa.cli import main
@@ -9,6 +11,7 @@ from gridlessdoa.experiments import (
     describe_geometry,
     parse_config,
     run_experiment,
+    run_one_trial,
 )
 from gridlessdoa.geometry import ArrayGeometry
 
@@ -174,3 +177,15 @@ def test_bundled_configs_parse():
     for name in names:
         cfg = parse_config((root / name).read_text())
         assert cfg.trials >= 1
+
+
+class TestRunOneTrial:
+    def test_resolution_seed_1_estimates_are_finite(self):
+        # The degree-58 root-MUSIC polynomial of this input once produced NaN
+        # roots that passed as a successful estimate.
+        path = resources.files("gridlessdoa") / "configs" / "fig_resolution.cfg"
+        cfg = dataclasses.replace(parse_config(path.read_text()), seed=1, trials=1)
+        rec = run_one_trial(cfg, 0, 0)["results"]["structcovmle"]
+        assert not rec["failed"]
+        assert len(rec["u_hat"]) == 4
+        assert np.all(np.isfinite(rec["u_hat"]))

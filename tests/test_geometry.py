@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlessdoa import numerics as nx
 from gridlessdoa.geometry import (
@@ -14,6 +16,7 @@ from gridlessdoa.geometry import (
     toeplitz_embed,
 )
 from gridlessdoa.mlesolve import unpack_lags
+from gridlessdoa.sigmodel import coarray_lag_estimates
 
 
 def brute_coarray(positions):
@@ -237,3 +240,66 @@ def test_pack_unpack_roundtrip(rng):
     from gridlessdoa.mlesolve import pack_lags
 
     np.testing.assert_allclose(pack_lags(v), x)
+
+
+# -- properties of the one lag map over random on-grid geometries -------------
+
+on_grid_positions = st.sets(st.integers(1, 40), max_size=9).map(
+    lambda rest: (0,) + tuple(sorted(rest))
+)
+seeds = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def _random_lags(rng, aperture):
+    v = rng.standard_normal(aperture) + 1j * rng.standard_normal(aperture)
+    v[0] = v[0].real
+    return v
+
+
+def _dict_loop_lag_estimates(r, positions):
+    """The pairwise dict-loop definition of the per-lag averages."""
+    sums: dict[int, complex] = {}
+    counts: dict[int, int] = {}
+    for a, pa in enumerate(positions):
+        for b, pb in enumerate(positions):
+            sums[pa - pb] = sums.get(pa - pb, 0.0) + r[a, b]
+            counts[pa - pb] = counts.get(pa - pb, 0) + 1
+    return {lag: sums[lag] / counts[lag] for lag in sums}
+
+
+class TestLagMapProperties:
+    @PROPERTY
+    @given(on_grid_positions, seeds)
+    def test_adjoint_identity(self, positions, seed):
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        b = rng.standard_normal((g.m, g.m)) + 1j * rng.standard_normal((g.m, g.m))
+        a = 0.5 * (b + b.conj().T)
+        v = _random_lags(rng, coarray(g).aperture)
+        lhs = np.trace(a @ structured_matrix(v, g)).real
+        rhs = np.real(np.vdot(v, adjoint_structured(a, g)))
+        scale = np.linalg.norm(a) * np.linalg.norm(v) * g.m
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
+    @PROPERTY
+    @given(on_grid_positions, seeds)
+    def test_extract_inverts_assembly_without_holes(self, positions, seed):
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        g = ArrayGeometry(tuple(sorted(set(positions) | set(nested_completion(g)))))
+        v = _random_lags(rng, coarray(g).aperture)
+        got = extract_lags(structured_matrix(v, g), g)
+        np.testing.assert_allclose(got, v, rtol=0, atol=1e-15 * np.abs(v).max())
+
+    @PROPERTY
+    @given(on_grid_positions, seeds)
+    def test_lag_estimates_match_dict_loop(self, positions, seed):
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        r = rng.standard_normal((g.m, g.m)) + 1j * rng.standard_normal((g.m, g.m))
+        got = coarray_lag_estimates(r, g)
+        want = _dict_loop_lag_estimates(r, positions)
+        assert got.keys() == want.keys()
+        for lag, value in want.items():
+            assert abs(got[lag] - value) <= 1e-14 * g.m * np.abs(r).max()

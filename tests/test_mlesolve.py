@@ -217,13 +217,6 @@ class TestStructcovMle:
                 eig = nx.herm_eig(toeplitz_embed(v))
                 assert eig.values[0] >= -1e-8 * max(abs(v[0]), 1.0)
 
-    def test_crude_lambda_search_plumbing(self):
-        g = ArrayGeometry.ula(4)
-        scene = SourceScene.from_snr((0.2,), 10.0)
-        y = simulate(scene, g, 200, seed=3)
-        v = structcov_mle(scm(y), g, MleConfig(lam=2.0, outer_iters=4, estimate_lambda=True))
-        assert np.isfinite(v).all()
-
 
 class TestEmEstep:
     def test_empty_missing_set(self, rng):
