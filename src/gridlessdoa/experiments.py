@@ -584,8 +584,8 @@ def _run_spectrum_experiment(cfg: ExperimentConfig, prefix: str, started: float)
 def _write_meta(
     cfg: ExperimentConfig, prefix: str, started: float, records: list[dict], **extra
 ) -> dict:
-    """Write ``<prefix>_meta.json``: timing plus the solver runs and descent
-    violations summed over the estimator records."""
+    """Write ``<prefix>_meta.json``: timing plus the solver runs, descent
+    violations and SBL iteration-cap hits summed over the estimator records."""
     meta = {
         "kind": cfg.kind,
         "seed": cfg.seed,
@@ -593,6 +593,7 @@ def _write_meta(
         "elapsed_s": time.time() - started,
         "solver_runs": sum(rec.get("solver_runs", 0) for rec in records),
         "descent_violations": sum(rec.get("descent_violations", 0) for rec in records),
+        "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rec in records for rnd in rec.get("rounds", [])),
         **extra,
     }
     with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:

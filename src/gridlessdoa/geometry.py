@@ -107,6 +107,7 @@ class LagMap:
 
     def __init__(self, positions: tuple[int, ...]):
         p = np.asarray(positions, dtype=np.int64)
+        self.positions = p
         self.n = p.size
         self.aperture = int(p[-1] - p[0]) + 1
         self.lag_idx = np.abs(p[:, None] - p[None, :])
@@ -147,15 +148,11 @@ class LagMap:
         return out
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """Images ``T(e_a)`` of the real unit vectors of ``pack_lags``, (2A-1, n, n)."""
-        i, j = np.indices((self.n, self.n))
-        lag = self.lag_idx
-        out = np.zeros((2 * self.aperture - 1, self.n, self.n), dtype=np.complex128)
-        out[np.maximum(2 * lag - 1, 0), i, j] = 1.0
-        off = lag > 0
-        out[2 * lag[off], i[off], j[off]] = np.where(self.conj_mask[off], -1j, 1j)
-        return out
+    def dft(self) -> np.ndarray:
+        """``exp(-2 pi i w p / N)``, (N, n), N = 2A-1: ``dft @ X @ dft.T`` is the 2-D DFT of
+        X placed on the aperture grid, long enough that lag correlations do not wrap."""
+        n_fft = 2 * self.aperture - 1
+        return np.exp(-2j * np.pi * (np.outer(np.arange(n_fft), self.positions) % n_fft) / n_fft)
 
 
 @lru_cache(maxsize=None)
@@ -219,6 +216,27 @@ def pack_lags(v: np.ndarray) -> np.ndarray:
     x[1::2] = v[1:].real
     x[2::2] = v[1:].imag
     return x
+
+
+@lru_cache(maxsize=None)
+def lag_projections(aperture: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(E J, conj(E) J) / N`` (both real), N = 2A-1, ``E[w, k] = exp(2 pi i w k / N)``.
+
+    J maps ``pack_lags`` coordinates to signed lags k mod N.  For A x A
+    Hermitian X, Y with 2-D DFTs ``X^``, ``Y^`` (``LagMap.dft``), entry (a, b)
+    of ``V1.T @ (X^ * conj(Y^)) @ V2`` is ``tr(B_a X B_b Y)``, B_a the Toeplitz
+    image of unit vector a: their 2-D correlation read at every pair of lags.
+    """
+    n_fft = 2 * aperture - 1
+    k = np.arange(1, aperture)
+    lags = np.zeros((n_fft, n_fft), dtype=np.complex128)
+    lags[0, 0] = 1.0
+    lags[k, 2 * k - 1] = lags[-k, 2 * k - 1] = 1.0
+    lags[k, 2 * k], lags[-k, 2 * k] = 1j, -1j
+    e = np.exp(2j * np.pi * (np.outer(np.arange(n_fft), np.arange(n_fft)) % n_fft) / n_fft)
+    v1, v2 = (e @ lags).real / n_fft, (e.conj() @ lags).real / n_fft
+    v1.flags.writeable = v2.flags.writeable = False
+    return v1, v2
 
 
 def unpack_lags(x: np.ndarray) -> np.ndarray:

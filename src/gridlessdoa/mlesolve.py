@@ -34,6 +34,7 @@ from .geometry import (
     adjoint_structured,
     coarray,
     lag_map,
+    lag_projections,
     nested_completion,
     pack_lags,
     structured_matrix,
@@ -186,6 +187,7 @@ class _BarrierProblem:
         self.data = nx.hermitian_part(weights.data_matrix) / self.scale
         self.g_lin = pack_lags(self.map.adjoint(self.weight))
         self.n = self.weight.shape[0]
+        self.v1, self.v2 = lag_projections(self.map.aperture)
 
     def factor(self, x: np.ndarray):
         """Cholesky factors of (Map+D, Toep) or None when infeasible."""
@@ -205,29 +207,23 @@ class _BarrierProblem:
         return f, f - mu * nx.logdet_from_factor(low_t)
 
     def grad_hess(self, x: np.ndarray, mu: float, factors):
+        """Gradient and Hessian at x.  Both Hessian blocks, tr(B_a P B_b P R P)
+        and mu tr(C_a T^-1 C_b T^-1), are 2-D lag correlations read off DFTs on
+        the aperture grid (``lag_projections``)."""
         low_s, low_t = factors
-        eye_n = np.eye(self.n, dtype=np.complex128)
-        p = nx.hermitian_part(nx.chol_solve_factored(low_s, eye_n))
+        p = nx.inv_from_factor(low_s)
         g2 = nx.hermitian_part(p @ self.data @ p)
+        tinv = nx.inv_from_factor(low_t)
         grad = self.g_lin - pack_lags(self.map.adjoint(g2))
+        grad -= mu * pack_lags(self.toep.adjoint(tinv))
 
-        tinv = nx.hermitian_part(
-            nx.chol_solve_factored(low_t, np.eye(self.map.aperture, dtype=np.complex128))
-        )
-        grad = grad - mu * pack_lags(self.toep.adjoint(tinv))
-
-        basis = self.map.basis
-        nb = basis.shape[0]
-        z = np.matmul(np.matmul(p[None], basis), g2[None])
-        # term[a, b] = tr(B_b Z_a) = sum_ij B_b[i, j] Z_a[j, i]
-        term = z.transpose(0, 2, 1).reshape(nb, -1) @ basis.reshape(nb, -1).T
-        h_data = np.real(term + term.T)
-        q = np.matmul(tinv[None], self.toep.basis)
-        h_barrier = np.real(
-            q.reshape(nb, -1) @ q.transpose(0, 2, 1).reshape(nb, -1).T
-        )
-        return grad, h_data + mu * h_barrier
-
+        w_map, w_toep = self.map.dft, self.toep.dft
+        p_hat = w_map @ p @ w_map.T
+        g_hat = w_map @ g2 @ w_map.T
+        t_hat = w_toep @ tinv @ w_toep.T
+        z = np.real(p_hat * g_hat.conj()) + (0.5 * mu) * np.abs(t_hat) ** 2
+        half = self.v1.T @ z @ self.v2
+        return grad, half + half.T
 
 def _strictly_feasible_start(problem: _BarrierProblem, x0: np.ndarray) -> np.ndarray:
     x = x0.copy()

@@ -90,10 +90,15 @@ def chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return chol_solve_factored(chol_factor(a), b)
 
 
+def inv_from_factor(low: np.ndarray) -> np.ndarray:
+    """Hermitian ``(L L^H)^{-1} = L^{-H} L^{-1}`` from one inverse of the lower factor L."""
+    low_inv = np.linalg.inv(low)
+    return hermitian_part(low_inv.conj().T @ low_inv)
+
+
 def inv_pd(a: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix."""
-    out = chol_solve(a, np.eye(a.shape[0], dtype=np.complex128))
-    return hermitian_part(out)
+    return inv_from_factor(chol_factor(a))
 
 
 def logdet_from_factor(low: np.ndarray) -> float:

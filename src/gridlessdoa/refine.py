@@ -11,7 +11,7 @@ the local resolution multiplies by the subdivision factor every round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -118,7 +118,7 @@ def peak_adjust(
     adjacent grid points) scores the ratio q/s; the maximizer with q > s
     replaces the point with its closed-form optimal gamma.  The incumbent
     point is always in the candidate set, so the SBL cost never increases.
-    Sweeps repeat until no peak moves more than 1e-9.
+    Sweeps repeat until no peak moves more than 1e-9.  SBL run counts carry over.
     """
     if k < 1:
         raise RefineError("need at least one peak")
@@ -153,7 +153,7 @@ def peak_adjust(
             phi_dict[:, i] = manifold(cand[j], g)
         if moved <= 1e-9:
             break
-    return SblState(grid=grid, gamma=gamma, lam=state.lam, dictionary=phi_dict)
+    return replace(state, grid=grid, gamma=gamma, dictionary=phi_dict)
 
 
 def _dedupe_sorted(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -230,6 +230,8 @@ def _emit(on_round, rnd: int, state: SblState, r_hat: np.ndarray, k: int) -> Non
             "round": rnd,
             "grid_size": int(state.grid.size),
             "sbl_cost": sbl_cost(state, r_hat),
+            "sbl_iters": state.iters,
+            "sbl_cap_hit": state.capped,
             "u_hat": np.sort(state.grid[peaks]).tolist(),
         }
     )

@@ -25,12 +25,15 @@ class SblError(Exception):
 
 @dataclass(frozen=True)
 class SblState:
-    """Grid, hyperparameters, and the cached dictionary."""
+    """Grid, hyperparameters, the cached dictionary, and the iterations of the
+    ``sbl_run`` that produced it (``capped``: it stopped at its cap)."""
 
     grid: np.ndarray
     gamma: np.ndarray
     lam: float
     dictionary: np.ndarray
+    iters: int = 0
+    capped: bool = False
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -121,7 +124,7 @@ def sbl_run(
 
     Convergence is a relative gamma change below ``tol``.  The cost is
     non-increasing along the trajectory (EM guarantee); pass ``cost_trace``
-    to record it per iteration.
+    to record it per iteration.  The state records whether the cap stopped it.
     """
     if max_iters < 1:
         raise SblError("max_iters must be at least 1")
@@ -131,15 +134,15 @@ def sbl_run(
     r = scm(y)
     if cost_trace is not None:
         cost_trace.append(sbl_cost(state, r))
-    for _ in range(max_iters):
+    for it in range(1, max_iters + 1):
         gamma_new = _em_update_from_scm(state, r)
         change = np.max(np.abs(gamma_new - state.gamma) / np.maximum(state.gamma, 1e-12))
         state = state.with_gamma(gamma_new)
         if cost_trace is not None:
             cost_trace.append(sbl_cost(state, r))
         if change < tol:
-            break
-    return state
+            return replace(state, iters=it)
+    return replace(state, iters=max_iters, capped=True)
 
 
 def top_peaks(grid: np.ndarray, gamma: np.ndarray, k: int) -> list[int]:

@@ -95,6 +95,19 @@ class TestRunExperiment:
         summary = (tmp_path / "tiny_summary.csv").read_text().splitlines()[1:]
         assert all(",nan," in row for row in summary)
 
+    def test_sbl_cap_hits_in_meta(self, tmp_path):
+        cfg = parse_config(
+            BASE_CONFIG.replace("snr_sweep", "refine_arbitrary")
+            .replace("estimators = scm-music", "estimators = refine")
+            .replace("experiment.trials = 2", "experiment.trials = 1")
+            .replace("sweep.axis = snr_db", "sweep.axis = none")
+            .replace("sweep.values = 10,20\n", "")
+            + "refine.grid_size = 40\nrefine.rounds = 1\nrefine.sbl_iters = 5\n"
+        )
+        run_experiment(cfg, tmp_path)
+        meta = json.loads((tmp_path / "tiny_meta.json").read_text())
+        assert meta["sbl_cap_hits"] == 2  # rounds 0 and 1, both stopped at 5 iterations
+
     def test_svg_written(self, tmp_path):
         cfg = parse_config(BASE_CONFIG)
         run_experiment(cfg, tmp_path, svg=True)

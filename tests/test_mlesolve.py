@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlessdoa import numerics as nx
 from gridlessdoa.geometry import ArrayGeometry, coarray, structured_matrix, toeplitz_embed
 from gridlessdoa.mlesolve import (
+    _BarrierProblem,
     CompletionPlan,
     MleConfig,
     SolverError,
@@ -167,6 +170,96 @@ class TestSolveSubproblem:
             ) / (2 * h)
         cost = subproblem_objective(weights, v)
         assert np.linalg.norm(grad) <= 1e-5 * (1.0 + abs(cost))
+
+
+def _dense_lag_basis(positions):
+    """Images T(e_a) of the real unit vectors of pack_lags, (2A-1, n, n)."""
+    p = np.asarray(positions)
+    n = p.size
+    lag = np.abs(p[:, None] - p[None, :])
+    conj_mask = p[:, None] > p[None, :]
+    i, j = np.indices((n, n))
+    out = np.zeros((2 * (p[-1] + 1) - 1, n, n), dtype=np.complex128)
+    out[np.maximum(2 * lag - 1, 0), i, j] = 1.0
+    off = lag > 0
+    out[2 * lag[off], i[off], j[off]] = np.where(conj_mask[off], -1j, 1j)
+    return out
+
+
+def _dense_barrier_hessian(positions, v, noise, data, mu):
+    """Newton Hessian of the barrier subproblem by dense products over the
+    lag basis: tr(B_a P B_b G) + tr(B_b P B_a G) + mu tr(C_a Ti C_b Ti)."""
+    basis = _dense_lag_basis(positions)
+    toep_basis = _dense_lag_basis(tuple(range(positions[-1] + 1)))
+    nb = basis.shape[0]
+    p = np.linalg.inv(structured_matrix(v, ArrayGeometry(positions)) + np.diag(noise))
+    g2 = p @ data @ p
+    tinv = np.linalg.inv(toeplitz_embed(v))
+    z = np.matmul(np.matmul(p[None], basis), g2[None])
+    term = z.transpose(0, 2, 1).reshape(nb, -1) @ basis.reshape(nb, -1).T
+    q = np.matmul(tinv[None], toep_basis)
+    h_barrier = q.reshape(nb, -1) @ q.transpose(0, 2, 1).reshape(nb, -1).T
+    return np.real(term + term.T) + mu * np.real(h_barrier)
+
+
+def _barrier_problem(rng, positions, data_scale=1.0):
+    g = ArrayGeometry(positions)
+    v = random_feasible_lags(rng, g)
+    v[0] = 0.5 + 2.0 * np.abs(v[1:]).sum()  # diagonally dominant Toeplitz embedding
+    weights = SubproblemWeights(
+        weight=random_psd(rng, g.m, load=0.1),
+        noise_diag=0.2 + rng.random(g.m),
+        data_matrix=data_scale * random_psd(rng, g.m, load=0.1),
+        geometry=g,
+    )
+    problem = _BarrierProblem(weights)
+    x = pack_lags(v)
+    return problem, x, problem.factor(x)
+
+
+short_aperture_positions = st.sets(st.integers(1, 15), max_size=8).map(
+    lambda rest: (0,) + tuple(sorted(rest))
+)
+
+
+class TestBarrierNewtonSystem:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        short_aperture_positions,
+        st.floats(-10.0, 0.0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_hessian_matches_dense_lag_basis(self, positions, mu, seed):
+        # zero data isolates the barrier block, which small mu would hide
+        for data_scale in (1.0, 0.0):
+            problem, x, factors = _barrier_problem(
+                np.random.default_rng(seed), positions, data_scale
+            )
+            _, hess = problem.grad_hess(x, mu, factors)
+            want = _dense_barrier_hessian(
+                positions, unpack_lags(x), problem.noise, problem.data, mu
+            )
+            assert np.abs(hess - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_central_differences_of_value(self, rng):
+        problem, x, factors = _barrier_problem(rng, (0, 1, 2, 3, 7, 11))
+        mu = 1e-2
+        grad, hess = problem.grad_hess(x, mu, factors)
+        h = 1e-5
+        fd_grad = np.empty_like(grad)
+        fd_hess = np.empty_like(hess)
+        for i in range(x.size):
+            xp = x.copy()
+            xp[i] += h
+            xm = x.copy()
+            xm[i] -= h
+            fp, fm = problem.factor(xp), problem.factor(xm)
+            fd_grad[i] = (problem.value(xp, mu, fp)[1] - problem.value(xm, mu, fm)[1]) / (2 * h)
+            fd_hess[:, i] = (
+                problem.grad_hess(xp, mu, fp)[0] - problem.grad_hess(xm, mu, fm)[0]
+            ) / (2 * h)
+        assert np.abs(fd_grad - grad).max() <= 1e-7 * np.abs(grad).max()
+        assert np.abs(fd_hess - hess).max() <= 1e-7 * np.abs(hess).max()
 
 
 class TestStructcovMle:

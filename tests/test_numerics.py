@@ -93,6 +93,28 @@ class TestCholSolve:
         assert abs(nx.logdet_pd(a) - np.log(e.values).sum()) < 1e-10
 
 
+class TestInvFromFactor:
+    def test_matches_identity_solves(self, rng):
+        # reference: the two triangular solves against the identity
+        for n in (1, 4, 12, 30):
+            a = random_hermitian(rng, n, psd=True) + n * np.eye(n)
+            low = nx.chol_factor(a)
+            got = nx.inv_from_factor(low)
+            want = nx.hermitian_part(nx.chol_solve_factored(low, np.eye(n, dtype=complex)))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.linalg.norm(a @ got - np.eye(n)) <= 1e-12 * n
+
+    def test_exactly_hermitian_and_inv_pd_agrees(self, rng):
+        a = random_hermitian(rng, 10, psd=True) + np.eye(10)
+        got = nx.inv_from_factor(nx.chol_factor(a))
+        assert np.array_equal(got, got.conj().T)
+        assert np.array_equal(nx.inv_pd(a), got)
+
+    def test_scalar(self):
+        low = nx.chol_factor(np.array([[4.0 + 0j]]))
+        assert nx.inv_from_factor(low)[0, 0] == pytest.approx(0.25, abs=1e-16)
+
+
 class TestPolyRoots:
     def test_z2_minus_1(self):
         r = np.sort_complex(nx.poly_roots([-1.0, 0.0, 1.0]))

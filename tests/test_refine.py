@@ -135,6 +135,7 @@ class TestMultiresRefine:
         )
         assert len(logs) == 1 and logs[0]["round"] == 0
         assert est.k == 2
+        assert (logs[0]["sbl_iters"], logs[0]["sbl_cap_hit"]) == (400, True)
 
     def test_refinement_improves_on_plain_grid(self):
         g = OFFGRID

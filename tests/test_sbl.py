@@ -147,6 +147,19 @@ class TestSblRun:
                 hits += 1
         assert hits >= 48  # 96%
 
+    def test_reports_iterations_and_cap(self):
+        g = ArrayGeometry.ula(4)
+        grid = np.linspace(-1, 0.9, 12)
+        y = SnapshotMatrix(data=np.zeros((4, 3), dtype=complex))
+        capped = sbl_run(g, grid, y, lam=1.0, max_iters=7, tol=0.0)
+        assert (capped.iters, capped.capped) == (7, True)
+        # any relative change is below an infinite tolerance: stop after one
+        done = sbl_run(g, grid, y, lam=1.0, max_iters=7, tol=np.inf)
+        assert (done.iters, done.capped) == (1, False)
+        np.testing.assert_array_equal(
+            done.gamma, sbl_run(g, grid, y, lam=1.0, max_iters=1, tol=0.0).gamma
+        )
+
     def test_validation(self):
         g = ArrayGeometry.ula(3)
         with pytest.raises(SblError):
