@@ -32,8 +32,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the base seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-    p.add_argument("--svg", action="store_true", help="also write an SVG plot")
 
 
 def _apply_overrides(cfg: xp.ExperimentConfig, args) -> xp.ExperimentConfig:
@@ -136,6 +134,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="run a Monte-Carlo experiment")
     _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    p.add_argument("--svg", action="store_true", help="also write an SVG plot of RMSE")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="dump one realization's snapshots")
@@ -146,6 +146,7 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--spectrum", action="store_true", help="also write the MUSIC spectrum")
     p.add_argument("--trace", action="store_true", help="write per-iteration solver cost CSVs")
+    p.add_argument("--svg", action="store_true", help="with --spectrum, also write an SVG plot")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("crb", help="write the CRB reference curve")

@@ -55,16 +55,16 @@ CONFIG_KEYS = {
     "estimators": f"comma-separated subset of {', '.join(ESTIMATORS)}",
     "sweep.axis": f"one of {', '.join(SWEEP_AXES)}",
     "sweep.values": "comma-separated axis values (nonempty unless axis=none)",
-    "solver.iter": "outer MM iterations (default 20)",
-    "solver.lambda": "noise variance fed to the solver (default 1.0)",
-    "solver.lambda_m_factor": "latent-sensor noise multiplier (default 1000)",
-    "solver.inner_iter": "inner iterations for the EM variant (default 1)",
-    "refine.grid_size": "initial uniform grid size (default 150)",
-    "refine.g_factor": "per-round resolution factor (default 3)",
-    "refine.gamma_thresh": "pruning threshold (default 1e-3)",
-    "refine.rounds": "refinement rounds (default 5)",
-    "refine.sbl_iters": "SBL iteration cap per run (default 5000)",
-    "spectrum.grid": "pseudospectrum grid size (default 600)",
+    "solver.iter": "outer MM iterations, >= 1 (default 20)",
+    "solver.lambda": "noise variance fed to the solver, > 0 (default 1.0)",
+    "solver.lambda_m_factor": "latent-sensor noise multiplier, > 0 (default 1000)",
+    "solver.inner_iter": "inner iterations for the EM variant, >= 1 (default 1)",
+    "refine.grid_size": "initial uniform grid size, >= 1 (default 150)",
+    "refine.g_factor": "per-round resolution factor, > 1 (default 3)",
+    "refine.gamma_thresh": "pruning threshold, >= 0 (default 1e-3)",
+    "refine.rounds": "refinement rounds, >= 0 (default 5)",
+    "refine.sbl_iters": "SBL iteration cap per run, >= 1 (default 5000)",
+    "spectrum.grid": "pseudospectrum grid size, >= 1 (default 600)",
     "output.prefix": "file name prefix for artifacts",
 }
 
@@ -133,21 +133,32 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError:
             _fail(key, f"could not parse {raw[key]!r} as numbers")
 
-    def one_float(key: str, default: float | None = None) -> float:
+    # ``low``/``strict``: the range the solvers enforce, checked here so a bad
+    # value is a config error and not a sweep of failed trials.
+    def one_float(
+        key: str, default: float | None = None, low: float | None = None, strict: bool = False
+    ) -> float:
         if key not in raw and default is not None:
             return default
         try:
-            return float(need(key))
+            value = float(need(key))
         except ValueError:
             _fail(key, f"could not parse {raw[key]!r} as a number")
+        ok = low is None or (math.isfinite(value) and (value > low if strict else value >= low))
+        if not ok:
+            _fail(key, f"{value} is out of range")
+        return value
 
-    def one_int(key: str, default: int | None = None) -> int:
+    def one_int(key: str, default: int | None = None, low: int | None = None) -> int:
         if key not in raw and default is not None:
             return default
         try:
-            return int(need(key))
+            value = int(need(key))
         except ValueError:
             _fail(key, f"could not parse {raw[key]!r} as an integer")
+        if low is not None and value < low:
+            _fail(key, f"must be at least {low}")
+        return value
 
     kind = need("experiment.kind")
     if kind not in EXPERIMENT_KINDS:
@@ -171,13 +182,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not 0.0 <= rho_abs <= 1.0:
         _fail("scene.rho_abs", f"{rho_abs} outside [0, 1]")
 
-    trials = one_int("experiment.trials")
-    if trials < 1:
-        _fail("experiment.trials", "must be at least 1")
-
-    snapshots = one_int("scene.snapshots")
-    if snapshots < 1:
-        _fail("scene.snapshots", "must be at least 1")
+    trials = one_int("experiment.trials", low=1)
+    snapshots = one_int("scene.snapshots", low=1)
 
     estimators = tuple(tok.strip() for tok in need("estimators").split(",") if tok.strip())
     bad = [e for e in estimators if e not in ESTIMATORS]
@@ -193,9 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
     elif not values:
         _fail("sweep.values", "must be nonempty for a sweeping axis")
 
-    k = one_int("estimate.k", len(u))
-    if k < 1:
-        _fail("estimate.k", "must be at least 1")
+    k = one_int("estimate.k", len(u), low=1)
 
     return ExperimentConfig(
         kind=kind,
@@ -211,16 +215,16 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep_values=values,
         trials=trials,
         seed=one_int("experiment.seed"),
-        solver_iter=one_int("solver.iter", 20),
-        solver_lambda=one_float("solver.lambda", 1.0),
-        solver_lambda_m_factor=one_float("solver.lambda_m_factor", 1000.0),
-        solver_inner_iter=one_int("solver.inner_iter", 1),
-        refine_grid_size=one_int("refine.grid_size", 150),
-        refine_g_factor=one_int("refine.g_factor", 3),
-        refine_gamma_thresh=one_float("refine.gamma_thresh", 1e-3),
-        refine_rounds=one_int("refine.rounds", 5),
-        refine_sbl_iters=one_int("refine.sbl_iters", 5000),
-        spectrum_grid=one_int("spectrum.grid", 600),
+        solver_iter=one_int("solver.iter", 20, low=1),
+        solver_lambda=one_float("solver.lambda", 1.0, low=0.0, strict=True),
+        solver_lambda_m_factor=one_float("solver.lambda_m_factor", 1000.0, low=0.0, strict=True),
+        solver_inner_iter=one_int("solver.inner_iter", 1, low=1),
+        refine_grid_size=one_int("refine.grid_size", 150, low=1),
+        refine_g_factor=one_int("refine.g_factor", 3, low=2),
+        refine_gamma_thresh=one_float("refine.gamma_thresh", 1e-3, low=0.0),
+        refine_rounds=one_int("refine.rounds", 5, low=0),
+        refine_sbl_iters=one_int("refine.sbl_iters", 5000, low=1),
+        spectrum_grid=one_int("spectrum.grid", 600, low=1),
         out_prefix=raw.get("output.prefix", "experiment"),
     )
 
@@ -245,7 +249,9 @@ def snapshots_for_axis(cfg: ExperimentConfig, axis_value: float) -> int:
     return cfg.snapshots
 
 
-def _mle_config(cfg: ExperimentConfig, trace: list[float]) -> MleConfig:
+def _mle_config(cfg: ExperimentConfig, diagnostics: dict) -> MleConfig:
+    """Solver settings of ``cfg``; each ML cost goes to ``diagnostics["cost_trace"]``."""
+    trace = diagnostics["cost_trace"] = []
     return MleConfig(
         lam=cfg.solver_lambda,
         lam_m=cfg.solver_lambda * cfg.solver_lambda_m_factor,
@@ -267,10 +273,7 @@ def covariance_estimate(
         return r
     if name == "fb-music":
         return fb_average(r)
-    trace: list[float] = []
-    v = structcov_mle(r, cfg.geometry, _mle_config(cfg, trace))
-    diagnostics["cost_trace"] = trace
-    return toeplitz_embed(v)
+    return toeplitz_embed(structcov_mle(r, cfg.geometry, _mle_config(cfg, diagnostics)))
 
 
 def run_estimator(
@@ -281,19 +284,13 @@ def run_estimator(
     k = cfg.k
     if name in COVARIANCE_ESTIMATORS:
         return root_music(covariance_estimate(name, scm(y), cfg, diagnostics), k)
-    trace: list[float] = []
     if name == "method1":
-        v = structcov_mle(scm(y), g, _mle_config(cfg, trace))
-        diagnostics["cost_trace"] = trace
-        return method1(v, g, k)
+        return method1(structcov_mle(scm(y), g, _mle_config(cfg, diagnostics)), g, k)
     if name == "method2":
-        est = method2(scm(y), g, k, _mle_config(cfg, trace))
-        diagnostics["cost_trace"] = trace
-        return est
+        return method2(scm(y), g, k, _mle_config(cfg, diagnostics))
     if name == "em":
         plan = CompletionPlan.from_geometry(g)
-        v = em_gridless(y, g, plan, _mle_config(cfg, trace))
-        diagnostics["cost_trace"] = trace
+        v = em_gridless(y, g, plan, _mle_config(cfg, diagnostics))
         return root_music(toeplitz_embed(v), k)
     if name == "refine":
         rounds: list[dict] = []
@@ -393,14 +390,22 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def write_svg_lines(path, series: dict[str, tuple[list[float], list[float]]], log_y: bool) -> None:
-    """Minimal polyline plot; one series per estimator, optional log10 y."""
+    """Minimal polyline plot; one series per estimator, optional log10 y.
+
+    Points with a non-finite x or y are left out; nothing is written when no
+    point is left (an ``axis = none`` sweep has the single x value NaN).
+    """
     width, height, pad = 640, 420, 50
-    pts_all = [(x, y) for xs, ys in series.values() for x, y in zip(xs, ys) if np.isfinite(y)]
+    finite = {
+        name: [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+        for name, (xs, ys) in series.items()
+    }
+    pts_all = [pt for pts in finite.values() for pt in pts]
     if not pts_all:
         return
     ys = [math.log10(max(y, 1e-12)) if log_y else y for _, y in pts_all]
     xs = [x for x, _ in pts_all]
-    x0, x1 = min(xs), max(xs) or 1.0
+    x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:
         x1 = x0 + 1.0
@@ -421,10 +426,8 @@ def write_svg_lines(path, series: dict[str, tuple[list[float], list[float]]], lo
         f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" y2="{height-pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" stroke="black"/>',
     ]
-    for i, (name, (xs_i, ys_i)) in enumerate(sorted(series.items())):
-        pts = " ".join(
-            f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs_i, ys_i) if np.isfinite(y)
-        )
+    for i, (name, pts_i) in enumerate(sorted(finite.items())):
+        pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts_i)
         color = colors[i % len(colors)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(

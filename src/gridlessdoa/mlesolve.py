@@ -320,7 +320,6 @@ def solve_subproblem(
     weights: SubproblemWeights,
     start: np.ndarray,
     cfg: MleConfig,
-    barrier_start: float | None = None,
 ) -> np.ndarray:
     """Solve the Toeplitz-constrained convex subproblem from a feasible start.
 
@@ -330,7 +329,7 @@ def solve_subproblem(
     """
     probe = _BarrierProblem(weights)
     x0 = pack_lags(np.asarray(start, dtype=np.complex128))
-    mu = cfg.barrier_start if barrier_start is None else barrier_start
+    mu = cfg.barrier_start
     x = _center_start(_strictly_feasible_start(probe, x0), mu)
     # Renormalize so the schedule sees an O(n)-scale objective.
     f_lifted = probe.value(x, mu, probe.factor(x))[0]

@@ -11,7 +11,7 @@ the local resolution multiplies by the subdivision factor every round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -27,19 +27,9 @@ class RefineError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RefinementState:
-    """SBL state plus refinement bookkeeping."""
-
-    state: SblState
-    round_index: int
-    grid_sizes: tuple[int, ...]
-    peak_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        grid = self.state.grid
-        if np.any(np.diff(grid) <= 1e-12):
-            raise RefineError("grid must be strictly ascending without duplicates")
+# peak_adjust: candidate directions per peak neighborhood, and its sweep cap.
+FINE_POINTS = 101
+MAX_SWEEPS = 30
 
 
 def qs_values(
@@ -60,19 +50,12 @@ def qs_values(
     phi_dict = state.dictionary
     c_minus = (phi_dict * gamma) @ phi_dict.conj().T + state.lam * np.eye(phi_dict.shape[0])
     cinv = nx.inv_pd(c_minus)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    q, s = _qs_from_inverse(cinv, manifold(u_arr, g), np.asarray(r, dtype=np.complex128))
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(q[0]), float(s[0])
-    return q, s
-
-
-def _qs_from_inverse(
-    cinv: np.ndarray, phi: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    phi = manifold(np.atleast_1d(np.asarray(u, dtype=np.float64)), g)
     a = cinv @ phi
     s = np.real(np.einsum("mg,mg->g", phi.conj(), a))
-    q = np.real(np.einsum("mg,mg->g", a.conj(), r @ a))
+    q = np.real(np.einsum("mg,mg->g", a.conj(), np.asarray(r, dtype=np.complex128) @ a))
+    if np.ndim(u) == 0:
+        return float(q[0]), float(s[0])
     return q, s
 
 
@@ -104,43 +87,33 @@ def _neighbor_delta(grid: np.ndarray, i: int) -> float:
     return 0.49 * min(gaps)
 
 
-def peak_adjust(
-    state: SblState,
-    r: np.ndarray,
-    g: ArrayGeometry,
-    k: int,
-    fine_points: int = 101,
-    max_sweeps: int = 30,
-) -> SblState:
+def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> SblState:
     """Sequentially re-optimize the top-k peaks' grid points in (gamma, u).
 
-    For each peak, a fine grid over the neighborhood (bounded away from the
-    adjacent grid points) scores the ratio q/s; the maximizer with q > s
-    replaces the point with its closed-form optimal gamma.  The incumbent
-    point is always in the candidate set, so the SBL cost never increases.
-    Sweeps repeat until no peak moves more than 1e-9.  SBL run counts carry over.
+    For each peak, ``FINE_POINTS`` candidates over the neighborhood (bounded
+    away from the adjacent grid points) score the ratio q/s; the maximizer
+    with q > s replaces the point with its closed-form optimal gamma.  The
+    incumbent point is always in the candidate set, so the SBL cost never
+    increases.  Sweeps repeat, at most ``MAX_SWEEPS`` times, until no peak
+    moves more than 1e-9.  The input state is not modified; SBL run counts
+    carry over.
     """
     if k < 1:
         raise RefineError("need at least one peak")
-    grid = state.grid.copy()
-    gamma = state.gamma.copy()
-    phi_dict = state.dictionary.copy()
+    work = replace(
+        state, grid=state.grid.copy(), gamma=state.gamma.copy(), dictionary=state.dictionary.copy()
+    )
+    grid, gamma = work.grid, work.gamma
     peaks = top_peaks(grid, gamma, k)
-    m = phi_dict.shape[0]
-    eye_m = np.eye(m)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         moved = 0.0
         for i in peaks:
             delta = _neighbor_delta(grid, i)
-            cand = np.linspace(grid[i] - delta, grid[i] + delta, fine_points)
+            cand = np.linspace(grid[i] - delta, grid[i] + delta, FINE_POINTS)
             cand = cand[(cand >= -1.0) & (cand < 1.0)]
             if cand.size == 0 or not np.any(np.isclose(cand, grid[i], atol=1e-15)):
                 cand = np.append(cand, grid[i])
-            gamma_minus = gamma.copy()
-            gamma_minus[i] = 0.0
-            c_minus = (phi_dict * gamma_minus) @ phi_dict.conj().T + state.lam * eye_m
-            cinv = nx.inv_pd(c_minus)
-            q, s = _qs_from_inverse(cinv, manifold(cand, g), r)
+            q, s = qs_values(cand, work, i, r, g)
             active = q > s
             if not np.any(active):
                 continue
@@ -150,10 +123,10 @@ def peak_adjust(
             moved = max(moved, abs(cand[j] - grid[i]))
             grid[i] = cand[j]
             gamma[i] = gam_new
-            phi_dict[:, i] = manifold(cand[j], g)
+            work.dictionary[:, i] = manifold(cand[j], g)
         if moved <= 1e-9:
             break
-    return replace(state, grid=grid, gamma=gamma, dictionary=phi_dict)
+    return work
 
 
 def _dedupe_sorted(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -175,8 +148,6 @@ def multires_refine(
     gamma_thresh: float = 1e-3,
     rounds: int = 5,
     sbl_iters: int = 5000,
-    sbl_tol: float = 1e-6,
-    warm_start: bool = False,
     on_round: Callable[[dict], None] | None = None,
 ) -> DoaEstimate:
     """Multi-resolution SBL: prune, subdivide around peaks, re-run, adjust.
@@ -193,7 +164,7 @@ def multires_refine(
         raise RefineError("rounds must be >= 0 and g_factor > 1")
     r_hat = scm(y)
     grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    state = sbl_run(g, grid, y, lam, sbl_iters, sbl_tol)
+    state = sbl_run(g, grid, y, lam, sbl_iters)
     state = peak_adjust(state, r_hat, g, k)
     _emit(on_round, 0, state, r_hat, k)
     for rnd in range(1, rounds + 1):
@@ -208,13 +179,7 @@ def multires_refine(
             inserts.append(state.grid[i] + offsets)
         new_grid = np.concatenate([state.grid[keep]] + inserts)
         new_grid = _dedupe_sorted(new_grid[(new_grid >= -1.0) & (new_grid < 1.0)])
-        gamma0 = None
-        if warm_start:
-            gamma0 = np.ones(new_grid.size)
-            old = {round(u, 12): gam for u, gam in zip(state.grid, state.gamma)}
-            for idx, u in enumerate(new_grid):
-                gamma0[idx] = old.get(round(u, 12), 1.0)
-        state = sbl_run(g, new_grid, y, state.lam, sbl_iters, sbl_tol, gamma0=gamma0)
+        state = sbl_run(g, new_grid, y, state.lam, sbl_iters)
         state = peak_adjust(state, r_hat, g, k)
         _emit(on_round, rnd, state, r_hat, k)
     peaks = top_peaks(state.grid, state.gamma, k)

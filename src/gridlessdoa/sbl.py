@@ -2,10 +2,10 @@
 
 Per-grid-point source variances gamma are fit by maximum likelihood: the
 cost ``log det(C) + tr(C^{-1} R)`` with ``C = Phi diag(gamma) Phi^H +
-lam I`` is minimized by EM iterations that alternate posterior source
-statistics with the variance update ``gamma_i = ||xhat_i||^2 / L + tau_i``.
-The cost touches the data only through the sample covariance, so snapshot
-blocks can be compressed to rank-many columns without changing trajectories.
+lam I`` is minimized by the multi-snapshot EM fixed point (M-SBL, Wipf &
+Rao 2007), ``gamma_i = ||xhat_i||^2 / L + tau_i`` with posterior means
+``xhat = Gamma Phi^H C^{-1} Y`` and variances ``tau``.  The update touches
+the data only through the sample covariance R, so it is written against R.
 """
 
 from __future__ import annotations
@@ -65,42 +65,18 @@ class SblState:
         return (phi * self.gamma) @ phi.conj().T + self.lam * np.eye(phi.shape[0])
 
 
-@dataclass(frozen=True)
-class PosteriorStats:
-    """Posterior source means (G x L) and per-point posterior variances."""
-
-    means: np.ndarray
-    variances: np.ndarray
-
-
 def sbl_cost(state: SblState, r: np.ndarray) -> float:
     """log det(C) + tr(C^{-1} R) for the state's model covariance C."""
     return nx.gaussian_nll(state.model_covariance(), r)
 
 
-def sbl_em_step(state: SblState, y: SnapshotMatrix) -> tuple[PosteriorStats, np.ndarray]:
-    """One EM iteration: posterior statistics and the updated gamma.
+def sbl_em_update(state: SblState, r: np.ndarray) -> np.ndarray:
+    """One EM iteration: the updated gamma from the SCM ``r``.
 
-    ``means = Gamma Phi^H C^{-1} Y`` and ``tau = diag(Gamma - Gamma Phi^H
-    C^{-1} Phi Gamma)``; the update divides the squared row norms by the
-    physical snapshot count, so compressed snapshot blocks give identical
-    updates.  Zero entries of gamma are absorbing.
+    ``||xhat_i||^2 / L = gamma_i^2 phi_i^H C^{-1} R C^{-1} phi_i`` and
+    ``tau_i = gamma_i - gamma_i^2 phi_i^H C^{-1} phi_i``; one Cholesky
+    factorization of C.  Zero entries of gamma are absorbing.
     """
-    phi = state.dictionary
-    gamma = state.gamma
-    low = nx.chol_factor(state.model_covariance())
-    ci_y = nx.chol_solve_factored(low, y.data)
-    means = gamma[:, None] * (phi.conj().T @ ci_y)
-    ci_phi = nx.chol_solve_factored(low, phi)
-    s_diag = np.real(np.einsum("mg,mg->g", phi.conj(), ci_phi))
-    tau = gamma - gamma**2 * s_diag
-    tau = np.maximum(tau, 0.0)
-    gamma_new = (np.abs(means) ** 2).sum(axis=1) / y.n_snapshots + tau
-    return PosteriorStats(means=means, variances=tau), np.maximum(gamma_new, 0.0)
-
-
-def _em_update_from_scm(state: SblState, r: np.ndarray) -> np.ndarray:
-    """gamma update written against the SCM; algebraically equals sbl_em_step."""
     phi = state.dictionary
     gamma = state.gamma
     low = nx.chol_factor(state.model_covariance())
@@ -117,7 +93,6 @@ def sbl_run(
     lam: float,
     max_iters: int = 1000,
     tol: float = 1e-6,
-    gamma0: np.ndarray | None = None,
     cost_trace: list[float] | None = None,
 ) -> SblState:
     """Run EM-SBL to convergence or the iteration cap.
@@ -129,13 +104,11 @@ def sbl_run(
     if max_iters < 1:
         raise SblError("max_iters must be at least 1")
     state = SblState.initialize(g, grid, lam)
-    if gamma0 is not None:
-        state = state.with_gamma(gamma0)
     r = scm(y)
     if cost_trace is not None:
         cost_trace.append(sbl_cost(state, r))
     for it in range(1, max_iters + 1):
-        gamma_new = _em_update_from_scm(state, r)
+        gamma_new = sbl_em_update(state, r)
         change = np.max(np.abs(gamma_new - state.gamma) / np.maximum(state.gamma, 1e-12))
         state = state.with_gamma(gamma_new)
         if cost_trace is not None:

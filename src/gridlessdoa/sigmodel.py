@@ -10,7 +10,7 @@ and independent under any parallel schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +93,9 @@ class SourceScene:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """Complex snapshot block plus the physical snapshot count.
-
-    ``n_snapshots`` is the number of snapshots the data represents; after
-    ``reduce_snapshots`` the stored block can have fewer columns while the
-    count (and hence the SCM normalization) is unchanged.
-    """
+    """Complex snapshot block: one row per sensor, one column per snapshot."""
 
     data: np.ndarray
-    n_snapshots: int = field(default=-1)
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data, dtype=np.complex128)
@@ -109,13 +103,15 @@ class SnapshotMatrix:
             raise ModelError("snapshot data must be a 2-D array")
         if not np.all(np.isfinite(d)):
             raise ModelError("snapshot data has non-finite entries")
-        n = self.n_snapshots if self.n_snapshots > 0 else d.shape[1]
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "n_snapshots", int(n))
 
     @property
     def m(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def n_snapshots(self) -> int:
+        return self.data.shape[1]
 
 
 def manifold(u, g: ArrayGeometry) -> np.ndarray:
@@ -163,7 +159,7 @@ def simulate(
     factor = _psd_coloring(scene.source_covariance())
     x = factor @ _complex_normal((scene.k, n_snapshots), seed, trial, stream=0)
     n = np.sqrt(scene.noise_var) * _complex_normal((g.m, n_snapshots), seed, trial, stream=1)
-    return SnapshotMatrix(data=phi @ x + n, n_snapshots=n_snapshots)
+    return SnapshotMatrix(data=phi @ x + n)
 
 
 def model_covariance(scene: SourceScene, g: ArrayGeometry) -> np.ndarray:
@@ -173,7 +169,7 @@ def model_covariance(scene: SourceScene, g: ArrayGeometry) -> np.ndarray:
 
 
 def scm(y: SnapshotMatrix) -> np.ndarray:
-    """Sample covariance (1/L) Y Y^H, using the physical snapshot count."""
+    """Sample covariance (1/L) Y Y^H over the L snapshot columns."""
     return (y.data @ y.data.conj().T) / y.n_snapshots
 
 
@@ -218,20 +214,3 @@ def spatial_smooth(r: np.ndarray, g: ArrayGeometry) -> np.ndarray:
         w = np.array([z[s + m] for m in range(mc)], dtype=np.complex128)
         out += np.outer(w, w.conj())
     return out / mc
-
-
-def reduce_snapshots(y: SnapshotMatrix) -> SnapshotMatrix:
-    """Compress snapshots to at most M columns preserving Y Y^H exactly.
-
-    The SCM (and every cost built on it) only sees the outer product, so a
-    factor of ``Y Y^H`` with rank-many columns carries the same information.
-    Pass-through when there is nothing to compress.
-    """
-    m, cols = y.data.shape
-    if cols <= m:
-        return y
-    gram = y.data @ y.data.conj().T
-    eig = herm_eig(gram)
-    keep = eig.values > 1e-12 * max(eig.values.max(), 1e-300)
-    factor = eig.vectors[:, keep] * np.sqrt(np.clip(eig.values[keep], 0.0, None))
-    return SnapshotMatrix(data=factor, n_snapshots=y.n_snapshots)

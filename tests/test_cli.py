@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -12,6 +14,7 @@ from gridlessdoa.experiments import (
     parse_config,
     run_experiment,
     run_one_trial,
+    write_svg_lines,
 )
 from gridlessdoa.geometry import ArrayGeometry
 
@@ -60,6 +63,33 @@ class TestParseConfig:
         bad = BASE_CONFIG.replace("experiment.trials = 2", "experiment.trials = 0")
         with pytest.raises(ConfigError, match="experiment.trials"):
             parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "solver.lambda = 0",
+            "solver.lambda = nan",
+            "solver.lambda = inf",
+            "solver.lambda_m_factor = -1",
+            "solver.iter = 0",
+            "solver.inner_iter = 0",
+            "refine.grid_size = 0",
+            "refine.g_factor = 1",
+            "refine.rounds = -1",
+            "refine.sbl_iters = 0",
+            "refine.gamma_thresh = -0.001",
+            "spectrum.grid = 0",
+        ],
+    )
+    def test_out_of_range_solver_keys(self, tmp_path, capsys, line):
+        # the solvers would reject these per trial; the config rejects them once
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+            parse_config(BASE_CONFIG + line + "\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG + line + "\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -114,6 +144,20 @@ class TestRunExperiment:
         svg = (tmp_path / "tiny.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_svg_without_sweep_axis_draws_no_nan(self, tmp_path):
+        # axis = none has the single x value NaN, so no point can be drawn
+        cfg = parse_config(BASE_CONFIG.replace("sweep.axis = snr_db", "sweep.axis = none"))
+        run_experiment(cfg, tmp_path, svg=True)
+        assert (tmp_path / "tiny_summary.csv").exists()
+        assert not (tmp_path / "tiny.svg").exists()
+
+    def test_svg_finite_points_and_right_edge_at_zero(self, tmp_path):
+        path = tmp_path / "p.svg"
+        write_svg_lines(path, {"a": ([-10.0, math.nan, 0.0], [1.0, 5.0, 2.0])}, log_y=False)
+        pts = re.search(r'points="([^"]*)"', path.read_text()).group(1)
+        # x = 0 is the right edge (640 - 50), and the NaN-x point is dropped
+        assert pts.split() == ["50.0,370.0", "590.0,50.0"]
+
 
 class TestCliMain:
     def write_config(self, tmp_path):
@@ -162,6 +206,16 @@ class TestCliMain:
         costs = [float(r.split(",")[1]) for r in trace_rows[1:]]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
         assert (tmp_path / "tiny_spectrum.svg").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--jobs=2"), ("simulate", "--svg"), ("crb", "--jobs=2"), ("crb", "--svg"),
+         ("estimate", "--jobs=2")],
+    )
+    def test_flags_only_where_they_act(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", self.write_config(tmp_path), "--out", str(tmp_path), flag])
+        assert exc.value.code == 2
 
     def test_crb_curve(self, tmp_path):
         cfg = self.write_config(tmp_path)

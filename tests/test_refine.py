@@ -4,7 +4,6 @@ import pytest
 from gridlessdoa.geometry import ArrayGeometry
 from gridlessdoa.refine import (
     RefineError,
-    RefinementState,
     gamma_opt,
     multires_refine,
     peak_adjust,
@@ -119,9 +118,19 @@ class TestPeakAdjust:
         y = simulate(scene, g, 500, seed=8)
         state = sbl_run(g, grid, y, lam=1.0, max_iters=500, tol=1e-7)
         adjusted = peak_adjust(state, scm(y), g, 2)
-        assert np.all(np.diff(adjusted.grid) > 0)
-        # wrap in the bookkeeping type to reuse its validation
-        RefinementState(state=adjusted, round_index=0, grid_sizes=(80,), peak_indices=())
+        assert np.all(np.diff(adjusted.grid) > 1e-12)
+
+    def test_input_state_unchanged(self):
+        g = OFFGRID
+        grid = np.linspace(-1, 1, 60, endpoint=False)
+        scene = SourceScene((0.123456,), (100.0,), noise_var=1.0)
+        y = simulate(scene, g, 500, seed=31)
+        state = sbl_run(g, grid, y, lam=1.0, max_iters=600, tol=1e-8)
+        before = [a.copy() for a in (state.grid, state.gamma, state.dictionary)]
+        adjusted = peak_adjust(state, scm(y), g, 1)
+        assert not np.array_equal(adjusted.grid, before[0])  # the peak moved
+        for a, b in zip((state.grid, state.gamma, state.dictionary), before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestMultiresRefine:

@@ -11,7 +11,6 @@ from gridlessdoa.sigmodel import (
     fb_average,
     manifold,
     model_covariance,
-    reduce_snapshots,
     scm,
     simulate,
     spatial_smooth,
@@ -195,33 +194,3 @@ class TestSpatialSmooth:
         g = ArrayGeometry((0, 2))  # coarray {0, 2}: run stops at lag 1
         with pytest.raises(ContiguousLagError):
             spatial_smooth(np.eye(2, dtype=complex), g)
-
-
-class TestReduceSnapshots:
-    def test_passthrough(self, rng):
-        y = SnapshotMatrix(data=rng.standard_normal((4, 3)) + 0j)
-        assert reduce_snapshots(y) is y
-
-    def test_duplicated_columns_rank_deficient(self, rng):
-        col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        data = np.tile(col[:, None], (1, 12))
-        y = SnapshotMatrix(data=data)
-        reduced = reduce_snapshots(y)
-        assert reduced.data.shape[1] == 1
-        np.testing.assert_allclose(
-            reduced.data @ reduced.data.conj().T,
-            data @ data.conj().T,
-            atol=1e-10 * np.linalg.norm(data) ** 2,
-        )
-
-    def test_random_reduction(self, rng):
-        data = rng.standard_normal((6, 500)) + 1j * rng.standard_normal((6, 500))
-        y = SnapshotMatrix(data=data)
-        reduced = reduce_snapshots(y)
-        assert reduced.data.shape == (6, 6)
-        assert reduced.n_snapshots == 500
-        gram = data @ data.conj().T
-        rel = np.linalg.norm(reduced.data @ reduced.data.conj().T - gram) / np.linalg.norm(gram)
-        assert rel < 1e-10
-        # scm uses the physical snapshot count, so it is unchanged
-        np.testing.assert_allclose(scm(reduced), scm(y), atol=1e-10 * np.linalg.norm(scm(y)))
