@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import experiments as xp
 from .geometry import ArrayGeometry, GeometryError
 from .metrics import crb_rmse
@@ -52,8 +50,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
-    scene = xp.scene_for_axis(cfg, cfg.sweep_values[0])
-    y = simulate(scene, cfg.geometry, xp.snapshots_for_axis(cfg, cfg.sweep_values[0]), cfg.seed)
+    scene, n_snap = xp.axis_scene(cfg, 0)
+    y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{cfg.out_prefix}_snapshots.csv")
     header = ["snapshot"] + [f"re_{m},im_{m}" for m in range(cfg.geometry.m)]
@@ -70,8 +68,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
-    scene = xp.scene_for_axis(cfg, cfg.sweep_values[0])
-    y = simulate(scene, cfg.geometry, xp.snapshots_for_axis(cfg, cfg.sweep_values[0]), cfg.seed)
+    scene, n_snap = xp.axis_scene(cfg, 0)
+    y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for name in cfg.estimators:
@@ -88,7 +86,7 @@ def cmd_estimate(args) -> int:
     path = os.path.join(args.out, f"{cfg.out_prefix}_estimates.csv")
     xp.write_csv(path, ["estimator", "u_hat"], rows)
     if args.spectrum:
-        grid = np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
+        grid = xp.spectrum_grid(cfg)
         cov = xp.covariance_estimate("structcovmle", scm(y), cfg, {})
         spec = music_spectrum(cov, cfg.k, grid)
         spath = os.path.join(args.out, f"{cfg.out_prefix}_spectrum.csv")
@@ -107,9 +105,9 @@ def cmd_crb(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for value in cfg.sweep_values:
-        scene = xp.scene_for_axis(cfg, value)
-        rows.append([value, crb_rmse(scene, cfg.geometry, xp.snapshots_for_axis(cfg, value))])
+    for a, value in enumerate(cfg.sweep_values):
+        scene, n_snap = xp.axis_scene(cfg, a)
+        rows.append([value, crb_rmse(scene, cfg.geometry, n_snap)])
     path = os.path.join(args.out, f"{cfg.out_prefix}_crb.csv")
     xp.write_csv(path, ["axis", "crb_rmse"], rows)
     print(f"wrote {path}")
@@ -161,6 +159,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "describe-geometry" and not (args.config or args.positions):
         parser.error("describe-geometry needs --config or --positions")
+    if args.command == "estimate" and args.svg and not args.spectrum:
+        parser.error("estimate --svg needs --spectrum")
     try:
         return args.func(args)
     except (xp.ConfigError, GeometryError, FileNotFoundError) as exc:

@@ -4,9 +4,12 @@ Experiments are described by flat ``key = value`` config files with dotted
 sections (see ``CONFIG_KEYS``).  A run sweeps one axis (SNR, correlation
 magnitude, snapshot count, or nothing), fans independent trials out over
 workers, and writes deterministic CSV tables plus a metadata JSON with
-timing.  Results are keyed by (axis, trial) so the output is invariant to
-the degree of parallelism, and all randomness is derived from the base seed
-and trial index.
+timing.  Every experiment kind runs the same trial, ``run_one_trial``:
+simulate once, run every estimator.  ``single_snapshot`` is the one kind
+that changes the outputs: its trials also keep each covariance estimator's
+MUSIC spectrum.  Results are keyed by (axis, trial) so the output is
+invariant to the degree of parallelism, and all randomness is derived from
+the base seed and trial index.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import DoaEstimate, method1, method2, music_spectrum, root_music
-from .geometry import ArrayGeometry, coarray, nested_completion, toeplitz_embed
-from .metrics import assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
-from .mlesolve import CompletionPlan, MleConfig, em_gridless, structcov_mle
-from .refine import multires_refine
-from .sigmodel import SnapshotMatrix, SourceScene, fb_average, scm, simulate
+from .estimate import DoaEstimate, EstimateError, method1, method2, music_spectrum, root_music
+from .geometry import ArrayGeometry, GeometryError, coarray, nested_completion, toeplitz_embed
+from .metrics import MetricsError, assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
+from .mlesolve import CompletionPlan, MleConfig, SolverError, em_gridless, structcov_mle
+from .numerics import NumericsError
+from .refine import RefineError, multires_refine
+from .sbl import SblError
+from .sigmodel import ModelError, SnapshotMatrix, SourceScene, fb_average, scm, simulate
 
 EXPERIMENT_KINDS = (
     "single_snapshot",
@@ -39,10 +44,14 @@ EXPERIMENT_KINDS = (
 
 ESTIMATORS = ("scm-music", "fb-music", "structcovmle", "method1", "method2", "em", "refine")
 
+# Estimators that reduce to a covariance matrix read by root-MUSIC or MUSIC.
+COVARIANCE_ESTIMATORS = ("scm-music", "fb-music", "structcovmle")
+
 SWEEP_AXES = ("none", "snr_db", "rho_abs", "snapshots")
 
 CONFIG_KEYS = {
-    "experiment.kind": f"one of {', '.join(EXPERIMENT_KINDS)}",
+    "experiment.kind": f"one of {', '.join(EXPERIMENT_KINDS)}; only single_snapshot changes"
+    " the outputs (adds MUSIC spectra; needs sweep.axis = none and covariance estimators)",
     "experiment.trials": "integer >= 1",
     "experiment.seed": "integer",
     "geometry.positions": "comma-separated sensor positions starting at 0",
@@ -200,6 +209,9 @@ def parse_config(text: str) -> ExperimentConfig:
         _fail("sweep.values", "must be nonempty for a sweeping axis")
 
     k = one_int("estimate.k", len(u), low=1)
+    spectra_ok = set(estimators) <= set(COVARIANCE_ESTIMATORS) and axis == "none"
+    if kind == "single_snapshot" and not spectra_ok:
+        _fail("experiment.kind", "single_snapshot needs sweep.axis none and covariance estimators")
 
     return ExperimentConfig(
         kind=kind,
@@ -232,21 +244,22 @@ def parse_config(text: str) -> ExperimentConfig:
 # -- scene / estimator plumbing -----------------------------------------------
 
 
-def scene_for_axis(cfg: ExperimentConfig, axis_value: float) -> SourceScene:
-    snr = cfg.scene_snr_db
-    rho_abs = cfg.rho_abs
+def axis_scene(cfg: ExperimentConfig, axis_index: int) -> tuple[SourceScene, int]:
+    """Source scene and snapshot count at sweep value ``axis_index``."""
+    value = cfg.sweep_values[axis_index]
+    snr, rho_abs, n_snap = cfg.scene_snr_db, cfg.rho_abs, cfg.snapshots
     if cfg.sweep_axis == "snr_db":
-        snr = tuple(axis_value for _ in cfg.scene_u)
+        snr = tuple(value for _ in cfg.scene_u)
     elif cfg.sweep_axis == "rho_abs":
-        rho_abs = axis_value
-    rho = rho_abs * np.exp(1j * cfg.rho_phase)
-    return SourceScene.from_snr(cfg.scene_u, snr, rho=rho)
+        rho_abs = value
+    elif cfg.sweep_axis == "snapshots":
+        n_snap = int(value)
+    return SourceScene.from_snr(cfg.scene_u, snr, rho=rho_abs * np.exp(1j * cfg.rho_phase)), n_snap
 
 
-def snapshots_for_axis(cfg: ExperimentConfig, axis_value: float) -> int:
-    if cfg.sweep_axis == "snapshots":
-        return int(axis_value)
-    return cfg.snapshots
+def spectrum_grid(cfg: ExperimentConfig) -> np.ndarray:
+    """The ``spectrum.grid`` points in u, uniform on [-1, 1)."""
+    return np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
 
 
 def _mle_config(cfg: ExperimentConfig, diagnostics: dict) -> MleConfig:
@@ -259,10 +272,6 @@ def _mle_config(cfg: ExperimentConfig, diagnostics: dict) -> MleConfig:
         inner_iters=cfg.solver_inner_iter,
         callback=lambda _k, _v, cost: trace.append(cost),
     )
-
-
-# Estimators that reduce to a covariance matrix read by root-MUSIC or MUSIC.
-COVARIANCE_ESTIMATORS = ("scm-music", "fb-music", "structcovmle")
 
 
 def covariance_estimate(
@@ -279,11 +288,20 @@ def covariance_estimate(
 def run_estimator(
     name: str, y: SnapshotMatrix, cfg: ExperimentConfig, diagnostics: dict
 ) -> DoaEstimate:
-    """Dispatch one estimator; records solver cost traces in diagnostics."""
+    """Dispatch one estimator; records solver cost traces in diagnostics.
+
+    A covariance estimator's covariance is computed once; for the
+    ``single_snapshot`` kind its MUSIC spectrum on ``spectrum_grid`` goes to
+    ``diagnostics["spectrum"]`` beside the root-MUSIC estimate.
+    """
     g = cfg.geometry
     k = cfg.k
     if name in COVARIANCE_ESTIMATORS:
-        return root_music(covariance_estimate(name, scm(y), cfg, diagnostics), k)
+        cov = covariance_estimate(name, scm(y), cfg, diagnostics)
+        est = root_music(cov, k)
+        if cfg.kind == "single_snapshot":
+            diagnostics["spectrum"] = music_spectrum(cov, k, spectrum_grid(cfg)).tolist()
+        return est
     if name == "method1":
         return method1(structcov_mle(scm(y), g, _mle_config(cfg, diagnostics)), g, k)
     if name == "method2":
@@ -319,16 +337,19 @@ def _record_solver(record: dict, diagnostics: dict) -> None:
         record["descent_violations"] = sum(1 for a, b in zip(trace, trace[1:]) if b > a + 1e-9)
 
 
-def _trial_seed_key(axis_index: int, trial: int) -> int:
-    return axis_index * 1_000_000 + trial
+# Errors of the data (an ill-conditioned draw, a solver that cannot proceed):
+# they mark one estimator's trial failed.  Any other exception is a bug and
+# propagates out of the run.
+DATA_ERRORS = (
+    NumericsError, SolverError, SblError, RefineError, EstimateError, ModelError, MetricsError,
+    GeometryError, np.linalg.LinAlgError,
+)
 
 
 def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
     """One (axis value, trial) cell: simulate once, run every estimator."""
-    axis_value = cfg.sweep_values[axis_index]
-    scene = scene_for_axis(cfg, axis_value)
-    n_snap = snapshots_for_axis(cfg, axis_value)
-    y = simulate(scene, cfg.geometry, n_snap, seed=cfg.seed, trial=_trial_seed_key(axis_index, trial))
+    scene, n_snap = axis_scene(cfg, axis_index)
+    y = simulate(scene, cfg.geometry, n_snap, seed=cfg.seed, trial=axis_index * 1_000_000 + trial)
     out: dict = {"axis_index": axis_index, "trial": trial, "results": {}}
     for name in cfg.estimators:
         diagnostics: dict = {}
@@ -341,33 +362,14 @@ def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
                 "errors": errors.tolist(),
                 "failed": False,
             }
-        except Exception as exc:  # failures are data, not crashes
+        except DATA_ERRORS as exc:
             record = {"u_hat": [], "errors": [], "failed": True, "message": str(exc)}
         record["runtime_s"] = time.perf_counter() - start
         _record_solver(record, diagnostics)
-        if "rounds" in diagnostics:
-            record["rounds"] = diagnostics["rounds"]
+        for key in ("rounds", "spectrum"):
+            if key in diagnostics:
+                record[key] = diagnostics[key]
         out["results"][name] = record
-    return out
-
-
-def _spectrum_trial(cfg: ExperimentConfig, trial: int) -> dict:
-    """Pseudospectra for the single-snapshot style study."""
-    scene = scene_for_axis(cfg, cfg.sweep_values[0])
-    y = simulate(scene, cfg.geometry, cfg.snapshots, seed=cfg.seed, trial=_trial_seed_key(0, trial))
-    grid = np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
-    out: dict = {"trial": trial, "spectra": {}}
-    r = scm(y)
-    for name in cfg.estimators:
-        if name not in COVARIANCE_ESTIMATORS:
-            raise ConfigError(
-                "config key 'estimators': single_snapshot supports scm-music, fb-music, structcovmle"
-            )
-        diagnostics: dict = {}
-        spec = music_spectrum(covariance_estimate(name, r, cfg, diagnostics), cfg.k, grid)
-        rec: dict = {"spectrum": spec.tolist()}
-        _record_solver(rec, diagnostics)
-        out["spectra"][name] = rec
     return out
 
 
@@ -375,11 +377,7 @@ def _spectrum_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -453,21 +451,20 @@ def _run_cells(cfg: ExperimentConfig, jobs: int) -> list[dict]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = False) -> dict:
-    """Run the experiment, write artifacts, and return the summary.
+    """Run the experiment, write artifacts, and return the meta record.
 
-    Artifacts: ``<prefix>_summary.csv`` (axis, estimator, rmse, per-source
-    bias, crb, trials), ``<prefix>_trials.csv`` (per-trial directions and
-    errors), ``<prefix>_meta.json`` (timing and solver diagnostics; kept out
-    of the CSVs so re-runs are byte-identical), spectra/rounds CSVs for the
-    kinds that produce them, and an optional SVG plot.
+    Every kind writes ``<prefix>_summary.csv`` (axis, estimator, rmse,
+    per-source bias, crb, trials, success rate), ``<prefix>_trials.csv``
+    (per-trial directions and errors) and ``<prefix>_meta.json`` (timing and
+    solver diagnostics; kept out of the CSVs so re-runs are byte-identical).
+    Trials that kept MUSIC spectra (``single_snapshot``) add one
+    ``<prefix>_<estimator>_spectrum.csv`` each, with a ``nan`` column for a
+    failed trial; a run of ``refine`` adds ``<prefix>_rounds.csv``.  ``svg``
+    adds an RMSE plot.
     """
     os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, cfg.out_prefix)
     started = time.time()
-
-    if cfg.kind == "single_snapshot":
-        return _run_spectrum_experiment(cfg, prefix, started)
-
     results = _run_cells(cfg, jobs)
 
     summary_rows: list[list] = []
@@ -475,11 +472,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     meta_cells: dict[str, dict] = {}
     series: dict[str, tuple[list[float], list[float]]] = {}
     for a, axis_value in enumerate(cfg.sweep_values):
-        scene = scene_for_axis(cfg, axis_value)
-        n_snap = snapshots_for_axis(cfg, axis_value)
+        scene, n_snap = axis_scene(cfg, a)
         try:
             crb = crb_rmse(scene, cfg.geometry, n_snap) if cfg.k == scene.k else math.nan
-        except Exception:
+        except (MetricsError, NumericsError):
             crb = math.nan
         cell_results = [r for r in results if r["axis_index"] == a]
         for name in cfg.estimators:
@@ -490,15 +486,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
                 if not rec["failed"] and len(rec["u_hat"]) == scene.k
             ]
             rmse = rmse_u(good, scene) if good else math.nan
-            biases = (
-                [empirical_bias(good, scene, kk) for kk in range(scene.k)]
-                if good
-                else [math.nan] * scene.k
-            )
+            biases = [empirical_bias(good, scene, j) if good else math.nan for j in range(scene.k)]
             hit = success_rate(good, scene) if good else math.nan
-            summary_rows.append(
-                [axis_value, name, rmse] + biases + [crb, len(good), hit]
-            )
+            summary_rows.append([axis_value, name, rmse] + biases + [crb, len(good), hit])
             meta_cells[f"{axis_value}/{name}"] = {
                 "wallclock_ms": 1e3 * float(np.sum([rec["runtime_s"] for rec in recs])),
                 "failures": int(sum(rec["failed"] for rec in recs)),
@@ -507,16 +497,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
             xs.append(axis_value)
             ys.append(rmse)
             for rec, cell in zip(recs, cell_results):
-                trial_rows.append(
-                    [
-                        axis_value,
-                        name,
-                        cell["trial"],
-                        "ok" if not rec["failed"] else "failed",
-                        ";".join(_fmt(x) for x in rec["u_hat"]),
-                        ";".join(_fmt(x) for x in rec["errors"]),
-                    ]
-                )
+                status = "failed" if rec["failed"] else "ok"
+                u_hat = ";".join(_fmt(x) for x in rec["u_hat"])
+                errors = ";".join(_fmt(x) for x in rec["errors"])
+                trial_rows.append([axis_value, name, cell["trial"], status, u_hat, errors])
 
     bias_cols = [f"bias_{kk}" for kk in range(len(cfg.scene_u))]
     write_csv(
@@ -529,27 +513,49 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         ["axis", "estimator", "trial", "status", "u_hat", "errors"],
         trial_rows,
     )
-    if cfg.kind == "refine_arbitrary":
-        _write_round_table(cfg, results, prefix)
     records = [rec for r in results for rec in r["results"].values()]
-    meta = _write_meta(cfg, prefix, started, records, cells=meta_cells)
+    if any("spectrum" in rec for rec in records):
+        _write_spectra(cfg, results, prefix)
+    if "refine" in cfg.estimators:
+        _write_round_table(cfg, results, prefix)
+    meta = {
+        "kind": cfg.kind,
+        "seed": cfg.seed,
+        "started_unix": started,
+        "elapsed_s": time.time() - started,
+        "solver_runs": sum(rec.get("solver_runs", 0) for rec in records),
+        "descent_violations": sum(rec.get("descent_violations", 0) for rec in records),
+        "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rec in records for rnd in rec.get("rounds", [])),
+        "cells": meta_cells,
+    }
+    with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
     if svg:
         write_svg_lines(f"{prefix}.svg", series, log_y=True)
     return meta
 
 
+def _write_spectra(cfg: ExperimentConfig, results: list[dict], prefix: str) -> None:
+    """One CSV per estimator: the u grid, then one spectrum column per trial."""
+    grid = spectrum_grid(cfg)
+    for name in cfg.estimators:
+        cols = [cell["results"][name].get("spectrum", [math.nan] * grid.size) for cell in results]
+        write_csv(
+            f"{prefix}_{name.replace('-', '_')}_spectrum.csv",
+            ["u"] + [f"trial_{cell['trial']}" for cell in results],
+            [[u] + [col[i] for col in cols] for i, u in enumerate(grid)],
+        )
+
+
 def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) -> None:
-    """Per-round average RMSE and grid size for the refinement study."""
+    """Per-round average RMSE, grid size and SBL cost of the ``refine`` runs."""
     rows = []
     truth = np.asarray(cfg.scene_u)
-    n_rounds = cfg.refine_rounds + 1
-    for rnd in range(n_rounds):
-        errs = []
-        sizes = []
-        costs = []
+    for rnd in range(cfg.refine_rounds + 1):
+        errs, sizes, costs = [], [], []
         for cell in results:
-            rec = cell["results"].get("refine")
-            if rec is None or rec["failed"] or len(rec.get("rounds", [])) <= rnd:
+            rec = cell["results"]["refine"]
+            if rec["failed"] or len(rec.get("rounds", [])) <= rnd:
                 continue
             info = rec["rounds"][rnd]
             u_hat = np.sort(np.asarray(info["u_hat"]))
@@ -566,42 +572,6 @@ def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) 
             ]
         )
     write_csv(f"{prefix}_rounds.csv", ["round", "rmse", "mean_grid_size", "mean_sbl_cost"], rows)
-
-
-def _run_spectrum_experiment(cfg: ExperimentConfig, prefix: str, started: float) -> dict:
-    grid = np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
-    trials = [_spectrum_trial(cfg, t) for t in range(cfg.trials)]
-    for name in cfg.estimators:
-        rows = []
-        for i, u in enumerate(grid):
-            rows.append([u] + [tr["spectra"][name]["spectrum"][i] for tr in trials])
-        write_csv(
-            f"{prefix}_{name.replace('-', '_')}_spectrum.csv",
-            ["u"] + [f"trial_{t}" for t in range(cfg.trials)],
-            rows,
-        )
-    records = [rec for tr in trials for rec in tr["spectra"].values()]
-    return _write_meta(cfg, prefix, started, records)
-
-
-def _write_meta(
-    cfg: ExperimentConfig, prefix: str, started: float, records: list[dict], **extra
-) -> dict:
-    """Write ``<prefix>_meta.json``: timing plus the solver runs, descent
-    violations and SBL iteration-cap hits summed over the estimator records."""
-    meta = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "started_unix": started,
-        "elapsed_s": time.time() - started,
-        "solver_runs": sum(rec.get("solver_runs", 0) for rec in records),
-        "descent_violations": sum(rec.get("descent_violations", 0) for rec in records),
-        "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rec in records for rnd in rec.get("rounds", [])),
-        **extra,
-    }
-    with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    return meta
 
 
 def describe_geometry(g: ArrayGeometry) -> str:

@@ -7,6 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from gridlessdoa import experiments
 from gridlessdoa.cli import main
 from gridlessdoa.experiments import (
     ConfigError,
@@ -17,6 +18,7 @@ from gridlessdoa.experiments import (
     write_svg_lines,
 )
 from gridlessdoa.geometry import ArrayGeometry
+from gridlessdoa.numerics import NumericsError
 
 BASE_CONFIG = """
 experiment.kind = snr_sweep
@@ -32,6 +34,15 @@ sweep.axis = snr_db
 sweep.values = 10,20
 output.prefix = tiny
 """
+
+# The single-snapshot kind: no sweep axis, covariance estimators, spectra kept.
+SPECTRUM_CONFIG = (
+    BASE_CONFIG.replace("snr_sweep", "single_snapshot")
+    .replace("estimators = scm-music", "estimators = scm-music,fb-music")
+    .replace("sweep.axis = snr_db", "sweep.axis = none")
+    .replace("sweep.values = 10,20\n", "")
+    + "spectrum.grid = 32\n"
+)
 
 
 class TestParseConfig:
@@ -91,6 +102,23 @@ class TestParseConfig:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SPECTRUM_CONFIG.replace("scm-music,fb-music", "scm-music,em"),
+            SPECTRUM_CONFIG.replace("sweep.axis = none", "sweep.axis = snr_db\nsweep.values = 10"),
+        ],
+        ids=["non-covariance-estimator", "sweep-axis"],
+    )
+    def test_single_snapshot_rejections(self, tmp_path, capsys, text):
+        # spectra are taken from covariance estimators at one axis value only
+        with pytest.raises(ConfigError, match=re.escape("'experiment.kind'")):
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "experiment.kind" in capsys.readouterr().err
+
 
 class TestRunExperiment:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -107,13 +135,55 @@ class TestRunExperiment:
         assert header.split(",")[:3] == ["axis", "estimator", "rmse"]
         assert "crb" in header
 
-    def test_parallel_invariance(self, tmp_path):
-        cfg = parse_config(BASE_CONFIG)
+    @pytest.mark.parametrize(
+        "text", [BASE_CONFIG, SPECTRUM_CONFIG], ids=["snr_sweep", "single_snapshot"]
+    )
+    def test_parallel_invariance(self, tmp_path, text):
+        cfg = parse_config(text)
         run_experiment(cfg, tmp_path / "s", jobs=1)
         run_experiment(cfg, tmp_path / "p", jobs=2)
-        assert (tmp_path / "s" / "tiny_summary.csv").read_bytes() == (
-            tmp_path / "p" / "tiny_summary.csv"
-        ).read_bytes()
+        names = sorted(p.name for p in (tmp_path / "s").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "p").glob("*.csv"))
+        assert "tiny_summary.csv" in names and "tiny_trials.csv" in names
+        for name in names:
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    def test_spectrum_csv_per_estimator(self, tmp_path):
+        cfg = parse_config(SPECTRUM_CONFIG)
+        run_experiment(cfg, tmp_path)
+        grid = np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
+        for name in ("scm_music", "fb_music"):
+            rows = (tmp_path / f"tiny_{name}_spectrum.csv").read_text().splitlines()
+            assert rows[0] == "u,trial_0,trial_1"
+            assert len(rows) == 1 + cfg.spectrum_grid
+            table = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+            assert table[:, 0] == pytest.approx(grid)
+            assert np.all(table[:, 1:] > 0) and np.all(table[:, 1:] <= 1.0)
+        assert not (tmp_path / "tiny_rounds.csv").exists()
+
+    def test_failed_estimator_spectrum_is_nan(self, tmp_path, monkeypatch):
+        def fail(_r):
+            raise NumericsError("ill-conditioned draw")
+
+        monkeypatch.setattr(experiments, "fb_average", fail)
+        run_experiment(parse_config(SPECTRUM_CONFIG), tmp_path)
+        failed = (tmp_path / "tiny_fb_music_spectrum.csv").read_text().splitlines()[1:]
+        assert all(row.split(",")[1:] == ["nan", "nan"] for row in failed)
+        ok = (tmp_path / "tiny_scm_music_spectrum.csv").read_text().splitlines()[1:]
+        assert all("nan" not in row for row in ok)
+
+    def test_bug_in_estimator_propagates(self, tmp_path, monkeypatch, capsys):
+        # only data errors mark a trial failed; a TypeError is a bug
+        def broken(_r, _k):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(experiments, "root_music", broken)
+        with pytest.raises(TypeError):
+            run_experiment(parse_config(BASE_CONFIG), tmp_path)
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "runtime failure" in capsys.readouterr().err
 
     def test_estimator_failure_recorded_not_raised(self, tmp_path):
         # k = 4 equals the sensor count, so scm-music must fail per trial;
@@ -210,7 +280,7 @@ class TestCliMain:
     @pytest.mark.parametrize(
         "command, flag",
         [("simulate", "--jobs=2"), ("simulate", "--svg"), ("crb", "--jobs=2"), ("crb", "--svg"),
-         ("estimate", "--jobs=2")],
+         ("estimate", "--jobs=2"), ("estimate", "--svg")],
     )
     def test_flags_only_where_they_act(self, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
