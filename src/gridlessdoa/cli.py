@@ -72,8 +72,9 @@ def cmd_estimate(args) -> int:
     y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     rows = []
+    diags: dict[str, dict] = {}
     for name in cfg.estimators:
-        diag: dict = {}
+        diag = diags[name] = {}
         est = xp.run_estimator(name, y, cfg, diag)
         rows.append([name, ";".join(f"{u:.12g}" for u in est.u)])
         print(f"{name}: " + " ".join(f"{u:+.6f}" for u in est.u))
@@ -87,7 +88,10 @@ def cmd_estimate(args) -> int:
     xp.write_csv(path, ["estimator", "u_hat"], rows)
     if args.spectrum:
         grid = xp.spectrum_grid(cfg)
-        cov = xp.covariance_estimate("structcovmle", scm(y), cfg, {})
+        if "structcovmle" in diags:  # reuse the estimator run's covariance
+            cov = diags["structcovmle"]["covariance"]
+        else:
+            cov = xp.covariance_estimate("structcovmle", scm(y), cfg, {})
         spec = music_spectrum(cov, cfg.k, grid)
         spath = os.path.join(args.out, f"{cfg.out_prefix}_spectrum.csv")
         xp.write_csv(spath, ["u", "value"], [[u, s] for u, s in zip(grid, spec)])

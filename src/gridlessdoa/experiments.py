@@ -175,7 +175,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     try:
         geometry = ArrayGeometry.parse(need("geometry.positions"))
-    except Exception as exc:
+    except GeometryError as exc:
         _fail("geometry.positions", str(exc))
 
     u = floats("scene.u")
@@ -290,14 +290,15 @@ def run_estimator(
 ) -> DoaEstimate:
     """Dispatch one estimator; records solver cost traces in diagnostics.
 
-    A covariance estimator's covariance is computed once; for the
-    ``single_snapshot`` kind its MUSIC spectrum on ``spectrum_grid`` goes to
-    ``diagnostics["spectrum"]`` beside the root-MUSIC estimate.
+    A covariance estimator's covariance is computed once and kept in
+    ``diagnostics["covariance"]``; for the ``single_snapshot`` kind its MUSIC
+    spectrum on ``spectrum_grid`` goes to ``diagnostics["spectrum"]`` beside
+    the root-MUSIC estimate.
     """
     g = cfg.geometry
     k = cfg.k
     if name in COVARIANCE_ESTIMATORS:
-        cov = covariance_estimate(name, scm(y), cfg, diagnostics)
+        cov = diagnostics["covariance"] = covariance_estimate(name, scm(y), cfg, diagnostics)
         est = root_music(cov, k)
         if cfg.kind == "single_snapshot":
             diagnostics["spectrum"] = music_spectrum(cov, k, spectrum_grid(cfg)).tolist()

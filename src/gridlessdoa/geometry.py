@@ -32,7 +32,7 @@ class GeometryError(Exception):
 class ArrayGeometry:
     """Sensor positions in units of d = half wavelength.
 
-    Positions must be strictly increasing, nonnegative, and start at 0.
+    Positions must be finite, strictly increasing, and start at 0.
     ``on_grid`` is true when every position is an integer, in which case the
     coarray machinery applies.
     """
@@ -41,9 +41,14 @@ class ArrayGeometry:
     on_grid: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        pos = tuple(float(p) for p in self.positions)
+        try:
+            pos = tuple(float(p) for p in self.positions)
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"positions must be numbers: {exc}") from None
         if len(pos) == 0:
             raise GeometryError("geometry needs at least one sensor")
+        if not all(np.isfinite(pos)):
+            raise GeometryError("positions must be finite")
         if abs(pos[0]) > _GRID_TOL:
             raise GeometryError("first sensor position must be 0")
         if any(b - a <= 0 for a, b in zip(pos, pos[1:])):
@@ -55,7 +60,7 @@ class ArrayGeometry:
     @classmethod
     def parse(cls, text: str) -> "ArrayGeometry":
         """Parse the config literal form, e.g. ``"0,1,2,3,7,11"``."""
-        return cls(tuple(float(tok) for tok in text.split(",") if tok.strip()))
+        return cls(tuple(tok for tok in text.split(",") if tok.strip()))
 
     @classmethod
     def ula(cls, m: int) -> "ArrayGeometry":

@@ -127,7 +127,7 @@ def crb_stochastic(scene: SourceScene, g: ArrayGeometry, n_snapshots: int) -> np
             fim[b, a] = val
     fim *= n_snapshots
     try:
-        crb_full = np.real(nx.chol_solve(fim.astype(np.complex128), np.eye(n_par, dtype=np.complex128)))
+        crb_full = np.real(nx.inv_pd(fim))
     except nx.NotPositiveDefiniteError:
         raise MetricsError("Fisher information is singular: scene not identifiable") from None
     return np.diag(crb_full)[:k].copy()

@@ -52,26 +52,30 @@ class LineSearchError(SolverError):
     """Backtracking could not find an acceptable feasible step."""
 
 
+# Barrier schedule: mu from BARRIER_START down to BARRIER_STOP by BARRIER_FACTOR,
+# each stage at most MAX_NEWTON Newton steps of at most MAX_BACKTRACKS halvings.
+BARRIER_START = 1e-2
+BARRIER_STOP = 1e-9
+BARRIER_FACTOR = 0.1
+NEWTON_TOL = 1e-9
+MAX_NEWTON = 80
+MAX_BACKTRACKS = 60
+
+
 @dataclass
 class MleConfig:
-    """Knobs for the MM outer loop and the barrier subproblem solver.
+    """Model and outer-loop settings of the ML estimators.
 
     ``lam`` is the noise variance fed to the model (assumed known).  The EM
     variant additionally uses ``lam_m`` for the latent sensors; when unset it
     defaults to ``1e3 * lam``.  The outer loop runs a fixed ``outer_iters``
-    iterations with no early stop.
+    iterations with no early stop.  The barrier schedule is module constants.
     """
 
     lam: float = 1.0
     lam_m: float | None = None
     outer_iters: int = 20
     inner_iters: int = 1
-    barrier_start: float = 1e-2
-    barrier_stop: float = 1e-9
-    barrier_factor: float = 0.1
-    newton_tol: float = 1e-9
-    max_newton: int = 80
-    max_backtracks: int = 60
     callback: Callable[[int, np.ndarray, float], None] | None = None
 
     def __post_init__(self) -> None:
@@ -159,11 +163,9 @@ def ml_gradient(v: np.ndarray, lam: float, r: np.ndarray, g: ArrayGeometry) -> n
 def subproblem_objective(weights: SubproblemWeights, v: np.ndarray) -> float:
     """Objective of the convex subproblem at v (no barrier term)."""
     mapped = structured_matrix(v, weights.geometry)
-    sigma = mapped + np.diag(weights.noise_diag)
-    low = nx.chol_factor(sigma)
+    p = nx.inv_from_factor(nx.chol_factor(mapped + np.diag(weights.noise_diag)))
     tr_lin = float(np.trace(weights.weight @ mapped).real)
-    tr_inv = float(np.trace(nx.chol_solve_factored(low, weights.data_matrix)).real)
-    return tr_lin + tr_inv
+    return tr_lin + float(np.vdot(p, weights.data_matrix).real)
 
 
 # -- barrier subproblem solver ----------------------------------------------
@@ -186,32 +188,29 @@ class _BarrierProblem:
         self.noise = np.asarray(weights.noise_diag, dtype=np.float64)
         self.data = nx.hermitian_part(weights.data_matrix) / self.scale
         self.g_lin = pack_lags(self.map.adjoint(self.weight))
-        self.n = self.weight.shape[0]
         self.v1, self.v2 = lag_projections(self.map.aperture)
 
     def factor(self, x: np.ndarray):
-        """Cholesky factors of (Map+D, Toep) or None when infeasible."""
+        """``(P, L)`` at x, with ``P = (Map+D)^-1`` and L the Cholesky factor
+        of Toep; None when x is infeasible."""
         v = unpack_lags(x)
         sigma = self.map.assemble(v) + np.diag(self.noise)
         toep = self.toep.assemble(v)
         try:
-            return nx.chol_factor(sigma), nx.chol_factor(toep)
+            return nx.inv_from_factor(nx.chol_factor(sigma)), nx.chol_factor(toep)
         except nx.NotPositiveDefiniteError:
             return None
 
     def value(self, x: np.ndarray, mu: float, factors) -> tuple[float, float]:
-        low_s, low_t = factors
-        f = float(x @ self.g_lin) + float(
-            np.trace(nx.chol_solve_factored(low_s, self.data)).real
-        )
+        p, low_t = factors
+        f = float(x @ self.g_lin) + float(np.vdot(p, self.data).real)
         return f, f - mu * nx.logdet_from_factor(low_t)
 
     def grad_hess(self, x: np.ndarray, mu: float, factors):
         """Gradient and Hessian at x.  Both Hessian blocks, tr(B_a P B_b P R P)
         and mu tr(C_a T^-1 C_b T^-1), are 2-D lag correlations read off DFTs on
         the aperture grid (``lag_projections``)."""
-        low_s, low_t = factors
-        p = nx.inv_from_factor(low_s)
+        p, low_t = factors
         g2 = nx.hermitian_part(p @ self.data @ p)
         tinv = nx.inv_from_factor(low_t)
         grad = self.g_lin - pack_lags(self.map.adjoint(g2))
@@ -225,17 +224,6 @@ class _BarrierProblem:
         half = self.v1.T @ z @ self.v2
         return grad, half + half.T
 
-def _strictly_feasible_start(problem: _BarrierProblem, x0: np.ndarray) -> np.ndarray:
-    x = x0.copy()
-    lift = max(1e-12, 1e-12 * abs(x[0]))
-    for _ in range(40):
-        if problem.factor(x) is not None:
-            return x
-        x = x.copy()
-        x[0] += lift
-        lift *= 10.0
-    raise SolverError("could not find a strictly feasible start")
-
 
 def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
     """Push the path start into the cone interior compatible with mu0.
@@ -243,8 +231,10 @@ def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
     Warm starts arriving from a previous solve sit essentially on the PSD
     boundary, where the barrier Hessian is numerically singular and Newton
     crawls.  Shifting the zero lag (an exact spectrum shift of the Toeplitz
-    embedding) restores an interior margin; the original start stays in the
-    candidate set, so the returned objective can only improve.
+    embedding) lifts its least eigenvalue to ``sqrt(mu0) * scale``, so even an
+    infeasible start becomes strictly feasible (``T(v)`` is a principal
+    submatrix of ``Toep(v)``).  The original start stays in the candidate
+    set, so the returned objective can only improve.
     """
     v = unpack_lags(x)
     eig = nx.herm_eig(toeplitz_embed(v))
@@ -257,16 +247,14 @@ def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
     return x
 
 
-def _newton_stage(
-    problem: _BarrierProblem, x: np.ndarray, mu: float, cfg: MleConfig, tol: float
-):
+def _newton_stage(problem: _BarrierProblem, x: np.ndarray, mu: float, tol: float):
     """Minimize f + mu * barrier from x; returns (x, best_f_seen, best_x)."""
     factors = problem.factor(x)
     if factors is None:
         raise SolverError("infeasible start in Newton stage")
     f_plain, f_mu = problem.value(x, mu, factors)
     best_f, best_x = f_plain, x
-    for _ in range(cfg.max_newton):
+    for _ in range(MAX_NEWTON):
         grad, hess = problem.grad_hess(x, mu, factors)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol * (1.0 + abs(f_mu)):
@@ -278,7 +266,7 @@ def _newton_stage(
             slope = -gnorm * gnorm
         t = 1.0
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = x + t * step
             cand_factors = problem.factor(cand)
             if cand_factors is not None:
@@ -302,9 +290,10 @@ def _solve_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     # The Hessian is PSD by construction (convex data term plus barrier), so
     # an undamped factorization normally succeeds and artificial damping
     # would only blunt the Newton step where the barrier curvature is large.
+    # The factorization is the definiteness test; one real solve is cheaper.
     try:
-        low = nx.chol_factor(hess)
-        return -np.real(nx.chol_solve_factored(low, grad.astype(np.complex128)))
+        nx.chol_factor(hess)
+        return -np.linalg.solve(hess, grad)
     except nx.NotPositiveDefiniteError:
         pass
     # Rounding made it indefinite: solve in the eigenbasis with the noise
@@ -321,31 +310,30 @@ def solve_subproblem(
     start: np.ndarray,
     cfg: MleConfig,
 ) -> np.ndarray:
-    """Solve the Toeplitz-constrained convex subproblem from a feasible start.
+    """Solve the Toeplitz-constrained convex subproblem from any start.
 
     Runs log-barrier continuation with damped Newton inner iterations.  The
-    returned point never has a larger objective than the start: the start and
-    every accepted iterate are candidates and the best one wins.
+    returned point never has a larger objective than a feasible start: the
+    start and every accepted iterate are candidates and the best one wins.
+    ``cfg`` sets nothing here; the barrier schedule is module constants.
     """
-    probe = _BarrierProblem(weights)
     x0 = pack_lags(np.asarray(start, dtype=np.complex128))
-    mu = cfg.barrier_start
-    x = _center_start(_strictly_feasible_start(probe, x0), mu)
+    mu = BARRIER_START
+    x = _center_start(x0, mu)
     # Renormalize so the schedule sees an O(n)-scale objective.
-    f_lifted = probe.value(x, mu, probe.factor(x))[0]
-    scale = max(1.0, f_lifted / (2.0 * probe.n))
-    problem = probe if scale == 1.0 else _BarrierProblem(weights, scale=scale)
+    f_centred = subproblem_objective(weights, unpack_lags(x))
+    problem = _BarrierProblem(weights, max(1.0, f_centred / (2.0 * weights.geometry.m)))
 
     candidates: list[tuple[float, np.ndarray]] = []
     start_factors = problem.factor(x0)
     if start_factors is not None:
         candidates.append((problem.value(x0, 1.0, start_factors)[0], x0))
     while True:
-        final = mu <= cfg.barrier_stop * (1.0 + 1e-12)
+        final = mu <= BARRIER_STOP * (1.0 + 1e-12)
         # Intermediate stages only need to track the central path loosely.
-        tol = cfg.newton_tol if final else max(cfg.newton_tol, 1e-6)
+        tol = NEWTON_TOL if final else max(NEWTON_TOL, 1e-6)
         try:
-            x, stage_best_f, stage_best_x = _newton_stage(problem, x, mu, cfg, tol)
+            x, stage_best_f, stage_best_x = _newton_stage(problem, x, mu, tol)
         except LineSearchError:
             if not candidates:
                 raise
@@ -353,10 +341,9 @@ def solve_subproblem(
         candidates.append((stage_best_f, stage_best_x))
         if final:
             break
-        mu = max(mu * cfg.barrier_factor, cfg.barrier_stop)
+        mu = max(mu * BARRIER_FACTOR, BARRIER_STOP)
 
-    best_f, best_x = min(candidates, key=lambda c: c[0])
-    return unpack_lags(best_x)
+    return unpack_lags(min(candidates, key=lambda c: c[0])[1])
 
 
 # -- outer MM loop ------------------------------------------------------------

@@ -79,19 +79,11 @@ def chol_factor(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError("matrix not positive definite") from None
 
 
-def chol_solve_factored(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^H) X = B given the lower Cholesky factor L."""
-    b = np.asarray(b, dtype=np.complex128)
-    return np.linalg.solve(low.conj().T, np.linalg.solve(low, b))
-
-
-def chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for Hermitian positive definite A."""
-    return chol_solve_factored(chol_factor(a), b)
-
-
 def inv_from_factor(low: np.ndarray) -> np.ndarray:
-    """Hermitian ``(L L^H)^{-1} = L^{-H} L^{-1}`` from one inverse of the lower factor L."""
+    """Hermitian ``(L L^H)^{-1} = L^{-H} L^{-1}`` from one inverse of the lower factor L.
+
+    The one way a factor is applied: a solve is a product with this inverse.
+    """
     low_inv = np.linalg.inv(low)
     return hermitian_part(low_inv.conj().T @ low_inv)
 
@@ -114,7 +106,7 @@ def logdet_pd(a: np.ndarray) -> float:
 def gaussian_nll(a: np.ndarray, r: np.ndarray) -> float:
     """``log det A + tr(A^{-1} R)`` for Hermitian positive definite A."""
     low = chol_factor(a)
-    return logdet_from_factor(low) + float(np.trace(chol_solve_factored(low, r)).real)
+    return logdet_from_factor(low) + float(np.vdot(inv_from_factor(low), r).real)
 
 
 def poly_roots(coeffs: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ def sbl_em_update(state: SblState, r: np.ndarray) -> np.ndarray:
     phi = state.dictionary
     gamma = state.gamma
     low = nx.chol_factor(state.model_covariance())
-    ci_phi = nx.chol_solve_factored(low, phi)
+    ci_phi = nx.inv_from_factor(low) @ phi
     s_diag = np.real(np.einsum("mg,mg->g", phi.conj(), ci_phi))
     q_diag = np.real(np.einsum("mg,mg->g", ci_phi.conj(), np.asarray(r) @ ci_phi))
     return np.maximum(gamma**2 * q_diag + gamma - gamma**2 * s_diag, 0.0)

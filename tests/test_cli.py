@@ -17,7 +17,7 @@ from gridlessdoa.experiments import (
     run_one_trial,
     write_svg_lines,
 )
-from gridlessdoa.geometry import ArrayGeometry
+from gridlessdoa.geometry import ArrayGeometry, GeometryError
 from gridlessdoa.numerics import NumericsError
 
 BASE_CONFIG = """
@@ -276,6 +276,30 @@ class TestCliMain:
         costs = [float(r.split(",")[1]) for r in trace_rows[1:]]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
         assert (tmp_path / "tiny_spectrum.svg").exists()
+
+    @pytest.mark.parametrize("estimators", ["structcovmle", "scm-music"])
+    def test_estimate_spectrum_solves_mle_once(self, tmp_path, capsys, monkeypatch, estimators):
+        # the spectrum reuses the structcovmle estimator's covariance when it ran
+        calls = []
+        solve = experiments.structcov_mle
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(experiments, "structcov_mle", counted)
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("estimators = scm-music", f"estimators = {estimators}"))
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path), "--spectrum"]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "tiny_spectrum.csv").exists()
+
+    @pytest.mark.parametrize("positions", ["0,inf", "0,nan", "0,1,x"])
+    def test_bad_positions_are_config_errors(self, capsys, positions):
+        assert main(["describe-geometry", "--positions", positions]) == 2
+        assert "config error" in capsys.readouterr().err
+        with pytest.raises(GeometryError):
+            ArrayGeometry(tuple(positions.split(",")))
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from gridlessdoa import numerics as nx
 from gridlessdoa.geometry import ArrayGeometry, coarray, structured_matrix, toeplitz_embed
 from gridlessdoa.mlesolve import (
+    BARRIER_START,
     _BarrierProblem,
+    _center_start,
     CompletionPlan,
     MleConfig,
     SolverError,
@@ -171,6 +173,20 @@ class TestSolveSubproblem:
         cost = subproblem_objective(weights, v)
         assert np.linalg.norm(grad) <= 1e-5 * (1.0 + abs(cost))
 
+    def test_toeplitz_indefinite_start(self, rng):
+        # Toep([1, 0, 2]) has eigenvalues -1, 1, 3, and T(v) + 0.4 I is
+        # indefinite too; the centred start alone must restore feasibility
+        g = ArrayGeometry.ula(3)
+        lam = 0.4
+        r = random_psd(rng, 3, load=0.1)
+        start = np.array([1.0, 0.0, 2.0], dtype=complex)
+        weights = SubproblemWeights(
+            weight=random_psd(rng, 3, load=0.05), noise_diag=np.full(3, lam),
+            data_matrix=r, geometry=g,
+        )
+        v = solve_subproblem(weights, start, MleConfig(lam=lam))
+        assert np.isfinite(ml_cost(v, lam, r, g))
+
 
 def _dense_lag_basis(positions):
     """Images T(e_a) of the real unit vectors of pack_lags, (2A-1, n, n)."""
@@ -260,6 +276,27 @@ class TestBarrierNewtonSystem:
             ) / (2 * h)
         assert np.abs(fd_grad - grad).max() <= 1e-7 * np.abs(grad).max()
         assert np.abs(fd_hess - hess).max() <= 1e-7 * np.abs(hess).max()
+
+
+class TestCenterStart:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        short_aperture_positions,
+        st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+        st.floats(-8.0, 2.0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_centred_start_is_feasible(self, positions, lag_scale, noise, seed):
+        # any lag vector, Toeplitz-indefinite ones included, comes out strictly
+        # feasible for both Cholesky factors the barrier needs
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        weights = SubproblemWeights(
+            weight=random_psd(rng, g.m, load=0.1), noise_diag=np.full(g.m, noise),
+            data_matrix=random_psd(rng, g.m, load=0.1), geometry=g,
+        )
+        x = lag_scale * rng.standard_normal(2 * coarray(g).aperture - 1)
+        assert _BarrierProblem(weights).factor(_center_start(x, BARRIER_START)) is not None
 
 
 class TestStructcovMle:
