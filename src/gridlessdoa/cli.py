@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from . import experiments as xp
 from .geometry import ArrayGeometry, GeometryError
-from .metrics import crb_rmse
 from .sigmodel import scm, simulate
 from .estimate import music_spectrum
 
@@ -110,8 +109,7 @@ def cmd_crb(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for a, value in enumerate(cfg.sweep_values):
-        scene, n_snap = xp.axis_scene(cfg, a)
-        rows.append([value, crb_rmse(scene, cfg.geometry, n_snap)])
+        rows.append([value, xp.axis_crb(cfg, a)])
     path = os.path.join(args.out, f"{cfg.out_prefix}_crb.csv")
     xp.write_csv(path, ["axis", "crb_rmse"], rows)
     print(f"wrote {path}")

@@ -257,6 +257,15 @@ def axis_scene(cfg: ExperimentConfig, axis_index: int) -> tuple[SourceScene, int
     return SourceScene.from_snr(cfg.scene_u, snr, rho=rho_abs * np.exp(1j * cfg.rho_phase)), n_snap
 
 
+def axis_crb(cfg: ExperimentConfig, axis_index: int) -> float:
+    """CRB in RMSE units at sweep value ``axis_index``; nan where no bound applies."""
+    scene, n_snap = axis_scene(cfg, axis_index)
+    try:
+        return crb_rmse(scene, cfg.geometry, n_snap) if cfg.k == scene.k else math.nan
+    except (MetricsError, NumericsError):
+        return math.nan
+
+
 def spectrum_grid(cfg: ExperimentConfig) -> np.ndarray:
     """The ``spectrum.grid`` points in u, uniform on [-1, 1)."""
     return np.linspace(-1.0, 1.0, cfg.spectrum_grid, endpoint=False)
@@ -473,11 +482,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     meta_cells: dict[str, dict] = {}
     series: dict[str, tuple[list[float], list[float]]] = {}
     for a, axis_value in enumerate(cfg.sweep_values):
-        scene, n_snap = axis_scene(cfg, a)
-        try:
-            crb = crb_rmse(scene, cfg.geometry, n_snap) if cfg.k == scene.k else math.nan
-        except (MetricsError, NumericsError):
-            crb = math.nan
+        scene, _ = axis_scene(cfg, a)
+        crb = axis_crb(cfg, a)
         cell_results = [r for r in results if r["axis_index"] == a]
         for name in cfg.estimators:
             recs = [r["results"][name] for r in cell_results]

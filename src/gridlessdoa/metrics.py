@@ -1,4 +1,8 @@
-"""Error metrics, distribution mismatch, and the stochastic Cramer-Rao bound."""
+"""Error metrics, distribution mismatch, and the stochastic Cramer-Rao bound.
+
+The bound is the closed form of Stoica & Nehorai (IEEE Trans. ASSP, 1990),
+built from the manifold, its derivative and the array covariance.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import numpy as np
 from . import numerics as nx
 from .estimate import DoaEstimate
 from .geometry import ArrayGeometry
-from .sigmodel import SourceScene, manifold
+from .sigmodel import SourceScene, manifold, model_covariance
 
 
 class MetricsError(Exception):
@@ -69,68 +73,30 @@ def kl_gaussian(r_true: np.ndarray, sigma_model: np.ndarray) -> float:
     return nx.gaussian_nll(sigma_model, r_true) - nx.logdet_pd(r_true) - r_true.shape[0]
 
 
-def _scene_parameters(scene: SourceScene) -> np.ndarray:
-    """Real parameter vector (u, Re/Im upper triangle of R_x, noise_var)."""
-    rx = scene.source_covariance()
-    upper = rx[np.triu_indices(scene.k, k=1)]
-    off = np.stack([upper.real, upper.imag], axis=1).ravel()
-    u = np.asarray(scene.u, dtype=np.float64)
-    return np.concatenate([u, np.real(np.diag(rx)), off, [scene.noise_var]])
-
-
-def _covariance_from_parameters(theta: np.ndarray, k: int, g: ArrayGeometry) -> np.ndarray:
-    u = theta[:k]
-    diag = theta[k : 2 * k]
-    off = theta[2 * k : 2 * k + k * (k - 1)]
-    noise = theta[-1]
-    rx = np.diag(diag.astype(np.complex128))
-    rows, cols = np.triu_indices(k, k=1)
-    rx[rows, cols] = off[0::2] + 1j * off[1::2]
-    rx[cols, rows] = np.conj(rx[rows, cols])
-    phi = manifold(u, g)
-    return phi @ rx @ phi.conj().T + noise * np.eye(g.m)
-
-
 def crb_stochastic(scene: SourceScene, g: ArrayGeometry, n_snapshots: int) -> np.ndarray:
     """Per-source u-space variance bound under the stochastic signal model.
 
-    The Fisher information of (u, R_x, noise_var) for circular Gaussian
-    snapshots is ``L tr(R^{-1} dR_a R^{-1} dR_b)``; covariance derivatives
-    are central differences with step 1e-6.  Returns the diagonal of the
-    direction block of the inverse information matrix, which scales exactly
-    as 1/L.
+    The closed form of Stoica & Nehorai (IEEE Trans. ASSP, 1990), with the
+    source covariance P and the noise variance unknown nuisance parameters:
+    ``sigma^2 / (2L) diag(inv(Re[(D^H Pi D) * (P A^H R^{-1} A P)^T]))``.
+    A is the manifold, D its derivative in u, R the array covariance and Pi
+    the projector onto the complement of A's range.  The bound scales
+    exactly as 1/L.
     """
     k = scene.k
     if k >= g.m:
         raise MetricsError("stochastic bound needs fewer sources than sensors")
-    theta = _scene_parameters(scene)
-    n_par = theta.size
-    step = 1e-6
-    derivs = []
-    for a in range(n_par):
-        tp = theta.copy()
-        tp[a] += step
-        tm = theta.copy()
-        tm[a] -= step
-        derivs.append(
-            (_covariance_from_parameters(tp, k, g) - _covariance_from_parameters(tm, k, g))
-            / (2 * step)
-        )
-    r = _covariance_from_parameters(theta, k, g)
-    rinv = nx.inv_pd(r)
-    sandwich = [rinv @ d for d in derivs]
-    fim = np.empty((n_par, n_par))
-    for a in range(n_par):
-        for b in range(a, n_par):
-            val = float(np.trace(sandwich[a] @ sandwich[b]).real)
-            fim[a, b] = val
-            fim[b, a] = val
-    fim *= n_snapshots
+    a = manifold(np.asarray(scene.u), g)
+    d = -1j * np.pi * np.asarray(g.positions, dtype=np.float64)[:, None] * a
+    p = scene.source_covariance()
     try:
-        crb_full = np.real(nx.inv_pd(fim))
+        proj = np.eye(g.m) - a @ nx.inv_pd(a.conj().T @ a) @ a.conj().T
+        rinv_a = nx.inv_pd(model_covariance(scene, g)) @ a
+        info = np.real((d.conj().T @ proj @ d) * (p @ a.conj().T @ rinv_a @ p).T)
+        crb = nx.inv_pd(info)
     except nx.NotPositiveDefiniteError:
         raise MetricsError("Fisher information is singular: scene not identifiable") from None
-    return np.diag(crb_full)[:k].copy()
+    return scene.noise_var / (2 * n_snapshots) * np.real(np.diag(crb))
 
 
 def crb_rmse(scene: SourceScene, g: ArrayGeometry, n_snapshots: int) -> float:

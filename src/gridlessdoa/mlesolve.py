@@ -421,9 +421,10 @@ def em_estep(
 ) -> np.ndarray:
     """Conditional complete-data SCM given the observed snapshots.
 
-    Output blocks are ordered [observed; missing].  The observed block is the
-    plain SCM; cross blocks and the latent block follow from the conditional
-    Gaussian moments under the current model ``T(v) + diag(lam_o, lam_m)``.
+    Rows and columns follow the sensors of ``plan.complete_geometry``.  The
+    observed block is the plain SCM; cross blocks and the latent block follow
+    from the conditional Gaussian moments under the current model
+    ``T(v) + diag(lam_o, lam_m)``.
     """
     tn = structured_matrix(v, plan.complete_geometry)
     o = list(plan.observed_idx)
@@ -435,9 +436,11 @@ def em_estep(
     sig_mm = tn[np.ix_(m, m)] + lam_m * np.eye(len(m))
     sig_mo = tn[np.ix_(m, o)]
     gain = sig_mo @ nx.inv_pd(sig_oo)  # Sigma_mo Sigma_oo^{-1}
-    top_right = r_o @ gain.conj().T
-    bottom = sig_mm - gain @ sig_mo.conj().T + gain @ r_o @ gain.conj().T
-    out = np.block([[r_o, top_right], [gain @ r_o, bottom]])
+    out = np.empty(tn.shape, dtype=np.complex128)
+    out[np.ix_(o, o)] = r_o
+    out[np.ix_(o, m)] = r_o @ gain.conj().T
+    out[np.ix_(m, o)] = gain @ r_o
+    out[np.ix_(m, m)] = sig_mm - gain @ sig_mo.conj().T + gain @ r_o @ gain.conj().T
     return nx.hermitian_part(out)
 
 
@@ -446,14 +449,6 @@ def _complete_noise_diag(plan: CompletionPlan, lam_o: float, lam_m: float) -> np
     d[list(plan.observed_idx)] = lam_o
     d[list(plan.missing_idx)] = lam_m
     return d
-
-
-def _stacked_to_complete(r_stacked: np.ndarray, plan: CompletionPlan) -> np.ndarray:
-    order = list(plan.observed_idx) + list(plan.missing_idx)
-    n = plan.complete_geometry.m
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[np.ix_(order, order)] = r_stacked
-    return out
 
 
 def em_majorized_cost(
@@ -466,8 +461,7 @@ def em_majorized_cost(
 ) -> float:
     """Inner majorized EM objective tr(B^{-1} T(v)) + tr(Sigma_y(v)^{-1} R~)."""
     noise = _complete_noise_diag(plan, lam_o, lam_m)
-    r_fit = _stacked_to_complete(r_tilde, plan)
-    return subproblem_objective(_majorization(v_ref, r_fit, plan.complete_geometry, noise), v)
+    return subproblem_objective(_majorization(v_ref, r_tilde, plan.complete_geometry, noise), v)
 
 
 def observed_majorized_cost(
@@ -500,8 +494,8 @@ def em_gridless(
     if coarray(cg).aperture != coarray(g).aperture:
         raise SolverError("completion must preserve the array aperture")
 
-    def complete_scm(v: np.ndarray) -> np.ndarray:
-        return _stacked_to_complete(em_estep(v, y_o, plan, cfg.lam, lam_m), plan)
-
     noise = _complete_noise_diag(plan, cfg.lam, lam_m)
-    return _majorize_minimize(complete_scm, cg, noise, cfg.inner_iters, scm(y_o), g, cfg)
+    return _majorize_minimize(
+        lambda v: em_estep(v, y_o, plan, cfg.lam, lam_m),
+        cg, noise, cfg.inner_iters, scm(y_o), g, cfg,
+    )

@@ -47,9 +47,7 @@ def qs_values(
     """
     gamma = state.gamma.copy()
     gamma[exclude] = 0.0
-    phi_dict = state.dictionary
-    c_minus = (phi_dict * gamma) @ phi_dict.conj().T + state.lam * np.eye(phi_dict.shape[0])
-    cinv = nx.inv_pd(c_minus)
+    cinv = nx.inv_pd(state.with_gamma(gamma).model_covariance())
     phi = manifold(np.atleast_1d(np.asarray(u, dtype=np.float64)), g)
     a = cinv @ phi
     s = np.real(np.einsum("mg,mg->g", phi.conj(), a))

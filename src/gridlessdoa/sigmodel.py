@@ -30,16 +30,14 @@ class ContiguousLagError(ModelError):
 class SourceScene:
     """True source configuration: directions, powers, pair correlation, noise.
 
-    ``rho`` is the complex correlation coefficient applied to the source
-    pair ``corr_pair`` (defaults to the first two sources); all other pairs
-    are uncorrelated.  Powers are linear; per-source SNR is
+    ``rho`` is the complex correlation coefficient of sources 0 and 1; all
+    other pairs are uncorrelated.  Powers are linear; per-source SNR is
     ``10 log10(p_k / noise_var)``.
     """
 
     u: tuple[float, ...]
     powers: tuple[float, ...]
     rho: complex = 0.0 + 0.0j
-    corr_pair: tuple[int, int] = (0, 1)
     noise_var: float = 1.0
 
     def __post_init__(self) -> None:
@@ -69,13 +67,12 @@ class SourceScene:
         u: tuple[float, ...],
         snr_db: tuple[float, ...] | float,
         rho: complex = 0.0,
-        corr_pair: tuple[int, int] = (0, 1),
     ) -> "SourceScene":
         """Scene with unit noise variance and powers set from per-source SNR."""
         if np.isscalar(snr_db):
             snr_db = tuple(float(snr_db) for _ in u)
         powers = tuple(10.0 ** (s / 10.0) for s in snr_db)
-        return cls(u=tuple(u), powers=powers, rho=rho, corr_pair=corr_pair, noise_var=1.0)
+        return cls(u=tuple(u), powers=powers, rho=rho, noise_var=1.0)
 
     @property
     def k(self) -> int:
@@ -84,10 +81,9 @@ class SourceScene:
     def source_covariance(self) -> np.ndarray:
         r = np.diag(np.asarray(self.powers, dtype=np.complex128))
         if abs(self.rho) > 0:
-            i, j = self.corr_pair
-            c = self.rho * np.sqrt(self.powers[i] * self.powers[j])
-            r[i, j] = c
-            r[j, i] = np.conj(c)
+            c = self.rho * np.sqrt(self.powers[0] * self.powers[1])
+            r[0, 1] = c
+            r[1, 0] = np.conj(c)
         return r
 
 

@@ -318,6 +318,13 @@ class TestCliMain:
         assert rows[0] == "axis,crb_rmse"
         assert len(rows) == 3
 
+    def test_crb_curve_nan_where_bound_does_not_apply(self, tmp_path):
+        # 8 sources on 6 sensors: no stochastic bound, as in the sweep's crb column
+        cfg = resources.files("gridlessdoa") / "configs" / "fig_more_sources.cfg"
+        assert main(["crb", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "fig_more_sources_crb.csv").read_text().splitlines()
+        assert rows == ["axis,crb_rmse", "nan,nan"]
+
 
 class TestDescribeGeometry:
     def test_off_grid_notice(self):

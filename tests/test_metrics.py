@@ -1,7 +1,13 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gridlessdoa import numerics as nx
 from gridlessdoa.estimate import DoaEstimate
+from gridlessdoa.experiments import axis_scene, parse_config
 from gridlessdoa.geometry import ArrayGeometry, toeplitz_embed
 from gridlessdoa.metrics import (
     MetricsError,
@@ -13,7 +19,7 @@ from gridlessdoa.metrics import (
     success_rate,
 )
 from gridlessdoa.mlesolve import MleConfig, structcov_mle, unpack_lags
-from gridlessdoa.sigmodel import SourceScene, model_covariance
+from gridlessdoa.sigmodel import SourceScene, manifold, model_covariance
 
 
 def est(*u):
@@ -104,6 +110,76 @@ class TestKlGaussian:
             assert base <= perturbed + 1e-9
 
 
+def fisher_crb_reference(scene: SourceScene, g: ArrayGeometry, n_snapshots: int) -> np.ndarray:
+    """Reference for the closed-form bound: the Fisher matrix by central differences.
+
+    Parameters are (u, diag R_x, Re/Im of the upper triangle of R_x,
+    noise_var); the information is ``L tr(R^{-1} dR_a R^{-1} dR_b)`` with
+    derivatives taken at step 1e-6.  Returns the direction block's diagonal
+    of the inverse, or raises ``MetricsError`` when that inverse fails.
+    """
+    k = scene.k
+    rows, cols = np.triu_indices(k, k=1)
+
+    def covariance(theta: np.ndarray) -> np.ndarray:
+        u, diag, off, noise = theta[:k], theta[k : 2 * k], theta[2 * k : -1], theta[-1]
+        rx = np.diag(diag.astype(np.complex128))
+        rx[rows, cols] = off[0::2] + 1j * off[1::2]
+        rx[cols, rows] = np.conj(rx[rows, cols])
+        a = manifold(u, g)
+        return a @ rx @ a.conj().T + noise * np.eye(g.m)
+
+    rx = scene.source_covariance()
+    off = np.stack([rx[rows, cols].real, rx[rows, cols].imag], axis=1).ravel()
+    theta = np.concatenate([scene.u, np.real(np.diag(rx)), off, [scene.noise_var]])
+    step = 1e-6
+    rinv = nx.inv_pd(covariance(theta))
+    sandwich = []
+    for a in range(theta.size):
+        dt = np.zeros(theta.size)
+        dt[a] = step
+        sandwich.append(rinv @ (covariance(theta + dt) - covariance(theta - dt)) / (2 * step))
+    fim = np.empty((theta.size, theta.size))
+    for a in range(theta.size):
+        for b in range(a, theta.size):
+            fim[a, b] = fim[b, a] = np.trace(sandwich[a] @ sandwich[b]).real
+    try:
+        return np.real(np.diag(nx.inv_pd(n_snapshots * fim)))[:k]
+    except nx.NotPositiveDefiniteError:
+        raise MetricsError("Fisher information is singular") from None
+
+
+def assert_matches_reference(scene: SourceScene, g: ArrayGeometry, n_snapshots: int, rtol: float):
+    """The closed form and the reference agree, or both raise ``MetricsError``."""
+    try:
+        want = fisher_crb_reference(scene, g, n_snapshots)
+    except MetricsError:
+        with pytest.raises(MetricsError):
+            crb_stochastic(scene, g, n_snapshots)
+        return
+    np.testing.assert_allclose(crb_stochastic(scene, g, n_snapshots), want, rtol=rtol)
+
+
+@st.composite
+def separated_scenes(draw):
+    """Scenes on 3-10 sensors, on or off grid, with u gaps >= 0.1 and |rho| <= 0.9."""
+    m = draw(st.integers(3, 10))
+    if draw(st.booleans()):
+        rest = draw(st.sets(st.integers(2, 2 * m), min_size=m - 2, max_size=m - 2))
+        positions = (0, 1) + tuple(sorted(rest))
+    else:
+        gaps = draw(st.lists(st.floats(0.3, 1.0), min_size=m - 1, max_size=m - 1))
+        positions = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
+    k = draw(st.integers(1, min(4, m - 1)))
+    u = sorted(draw(st.lists(st.floats(-1.0, 0.99), min_size=k, max_size=k)))
+    assume(all(b - a >= 0.1 for a, b in zip(u, u[1:])))
+    snr = tuple(draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k)))
+    rho = 0.0
+    if k > 1:
+        rho = draw(st.floats(0.0, 0.9)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return SourceScene.from_snr(tuple(u), snr, rho=rho), ArrayGeometry(positions)
+
+
 class TestCrb:
     def test_exact_snapshot_scaling(self):
         g = ArrayGeometry.ula(6)
@@ -141,3 +217,25 @@ class TestCrb:
         g = ArrayGeometry.ula(3)
         with pytest.raises(MetricsError):
             crb_stochastic(SourceScene.from_snr((-0.1, 0.0, 0.1), 10.0), g, 10)
+
+    def test_matches_fisher_reference_on_bundled_configs(self):
+        for path in sorted((resources.files("gridlessdoa") / "configs").iterdir()):
+            cfg = parse_config(path.read_text())
+            for a in range(len(cfg.sweep_values)):
+                scene, n_snap = axis_scene(cfg, a)
+                assert_matches_reference(scene, cfg.geometry, n_snap, rtol=1e-6)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(separated_scenes(), st.integers(1, 1000))
+    def test_matches_fisher_reference(self, scene_and_geometry, n_snapshots):
+        scene, g = scene_and_geometry
+        assert_matches_reference(scene, g, n_snapshots, rtol=1e-5)
+
+    def test_grating_lobe_pair_rejected(self):
+        # sensors two half-wavelengths apart see u = -0.5 and 0.5 as one direction
+        g = ArrayGeometry((0, 2, 4))
+        scene = SourceScene.from_snr((-0.5, 0.5), 10.0)
+        with pytest.raises(MetricsError):
+            fisher_crb_reference(scene, g, 100)
+        with pytest.raises(MetricsError):
+            crb_stochastic(scene, g, 100)
