@@ -192,12 +192,13 @@ class _BarrierProblem:
 
     def factor(self, x: np.ndarray):
         """``(P, L)`` at x, with ``P = (Map+D)^-1`` and L the Cholesky factor
-        of Toep; None when x is infeasible."""
+        of Toep; None when x is infeasible.  Toep goes first: T(v) is its
+        principal submatrix and D > 0, so it alone decides feasibility."""
         v = unpack_lags(x)
-        sigma = self.map.assemble(v) + np.diag(self.noise)
-        toep = self.toep.assemble(v)
         try:
-            return nx.inv_from_factor(nx.chol_factor(sigma)), nx.chol_factor(toep)
+            low_t = nx.chol_factor(self.toep.assemble(v))
+            sigma = self.map.assemble(v) + np.diag(self.noise)
+            return nx.inv_from_factor(nx.chol_factor(sigma)), low_t
         except nx.NotPositiveDefiniteError:
             return None
 

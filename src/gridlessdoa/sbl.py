@@ -5,7 +5,8 @@ cost ``log det(C) + tr(C^{-1} R)`` with ``C = Phi diag(gamma) Phi^H +
 lam I`` is minimized by the multi-snapshot EM fixed point (M-SBL, Wipf &
 Rao 2007), ``gamma_i = ||xhat_i||^2 / L + tau_i`` with posterior means
 ``xhat = Gamma Phi^H C^{-1} Y`` and variances ``tau``.  The update touches
-the data only through the sample covariance R, so it is written against R.
+the data only through R: ``gamma_i + gamma_i^2 phi_i^H K phi_i`` with the
+m x m core ``K = C^{-1} (R - C) C^{-1}`` from one Cholesky factor of C.
 """
 
 from __future__ import annotations
@@ -70,20 +71,26 @@ def sbl_cost(state: SblState, r: np.ndarray) -> float:
     return nx.gaussian_nll(state.model_covariance(), r)
 
 
+def _em_gamma(phi, phi_h, lam_eye, gamma, r) -> np.ndarray:
+    """The EM step on arrays, with ``phi_h = Phi^H`` and ``lam_eye = lam I``."""
+    c = (phi * gamma) @ phi_h + lam_eye
+    cinv = nx.inv_from_factor(nx.chol_factor(c))
+    core = cinv @ (r - c) @ cinv
+    q_minus_s = np.einsum("gm,mg->g", phi_h, core @ phi).real
+    return np.maximum(gamma + gamma**2 * q_minus_s, 0.0)
+
+
 def sbl_em_update(state: SblState, r: np.ndarray) -> np.ndarray:
     """One EM iteration: the updated gamma from the SCM ``r``.
 
     ``||xhat_i||^2 / L = gamma_i^2 phi_i^H C^{-1} R C^{-1} phi_i`` and
-    ``tau_i = gamma_i - gamma_i^2 phi_i^H C^{-1} phi_i``; one Cholesky
-    factorization of C.  Zero entries of gamma are absorbing.
+    ``tau_i = gamma_i - gamma_i^2 phi_i^H C^{-1} phi_i`` sum to the
+    difference-core step, as ``C^{-1} C C^{-1} = C^{-1}``.  Zero entries of
+    gamma are absorbing.
     """
     phi = state.dictionary
-    gamma = state.gamma
-    low = nx.chol_factor(state.model_covariance())
-    ci_phi = nx.inv_from_factor(low) @ phi
-    s_diag = np.real(np.einsum("mg,mg->g", phi.conj(), ci_phi))
-    q_diag = np.real(np.einsum("mg,mg->g", ci_phi.conj(), np.asarray(r) @ ci_phi))
-    return np.maximum(gamma**2 * q_diag + gamma - gamma**2 * s_diag, 0.0)
+    lam_eye = state.lam * np.eye(phi.shape[0])
+    return _em_gamma(phi, phi.conj().T, lam_eye, state.gamma, np.asarray(r))
 
 
 def sbl_run(
@@ -105,17 +112,19 @@ def sbl_run(
         raise SblError("max_iters must be at least 1")
     state = SblState.initialize(g, grid, lam)
     r = scm(y)
+    phi, gamma = state.dictionary, state.gamma
+    phi_h, lam_eye = phi.conj().T, state.lam * np.eye(phi.shape[0])
     if cost_trace is not None:
         cost_trace.append(sbl_cost(state, r))
     for it in range(1, max_iters + 1):
-        gamma_new = sbl_em_update(state, r)
-        change = np.max(np.abs(gamma_new - state.gamma) / np.maximum(state.gamma, 1e-12))
-        state = state.with_gamma(gamma_new)
+        gamma_new = _em_gamma(phi, phi_h, lam_eye, gamma, r)
+        change = np.max(np.abs(gamma_new - gamma) / np.maximum(gamma, 1e-12))
+        gamma = gamma_new
         if cost_trace is not None:
-            cost_trace.append(sbl_cost(state, r))
+            cost_trace.append(sbl_cost(state.with_gamma(gamma), r))
         if change < tol:
-            return replace(state, iters=it)
-    return replace(state, iters=max_iters, capped=True)
+            return replace(state, gamma=gamma, iters=it)
+    return replace(state, gamma=gamma, iters=max_iters, capped=True)
 
 
 def top_peaks(grid: np.ndarray, gamma: np.ndarray, k: int) -> list[int]:

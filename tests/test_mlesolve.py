@@ -299,6 +299,40 @@ class TestCenterStart:
         assert _BarrierProblem(weights).factor(_center_start(x, BARRIER_START)) is not None
 
 
+class TestBarrierFactor:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        short_aperture_positions,
+        st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+        st.floats(-7.0, 0.0).map(lambda e: 10.0**e),
+        st.sampled_from([-1.0, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_none_exactly_off_the_toeplitz_cone(self, positions, lag_scale, margin, side, seed):
+        # the zero lag shifts Toep's spectrum exactly, so the point lands a
+        # relative distance ``margin`` inside (side +1) or outside (side -1)
+        # the PSD cone; Sigma = T(v) + D is PD whenever Toep(v) is
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        weights = SubproblemWeights(
+            weight=random_psd(rng, g.m, load=0.1), noise_diag=0.2 + rng.random(g.m),
+            data_matrix=random_psd(rng, g.m, load=0.1), geometry=g,
+        )
+        x = lag_scale * rng.standard_normal(2 * coarray(g).aperture - 1)
+        eig = np.linalg.eigvalsh(toeplitz_embed(unpack_lags(x)))
+        x[0] += side * margin * max(np.abs(eig).max(), lag_scale) - eig[0]
+        least = np.linalg.eigvalsh(toeplitz_embed(unpack_lags(x)))[0]
+        assert np.sign(least) == side
+        factors = _BarrierProblem(weights).factor(x)
+        assert (factors is None) == (least <= 0)
+        if factors is not None:
+            p, low_t = factors
+            v = unpack_lags(x)
+            want = np.linalg.inv(structured_matrix(v, g) + np.diag(weights.noise_diag))
+            assert np.abs(p - want).max() <= 1e-12 * np.abs(want).max()
+            np.testing.assert_allclose(low_t @ low_t.conj().T, toeplitz_embed(v), atol=1e-12 * np.abs(v).max())
+
+
 class TestStructcovMle:
     def test_identity_data(self):
         g = ArrayGeometry.ula(4)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridlessdoa import numerics as nx
 from gridlessdoa.geometry import ArrayGeometry
 from gridlessdoa.sbl import (
     SblError,
@@ -26,6 +29,52 @@ def em_step_from_snapshots(state, y):
     means = gamma[:, None] * (phi.conj().T @ cinv @ y.data)
     tau = gamma - gamma**2 * np.real(np.einsum("mg,mg->g", phi.conj(), cinv @ phi))
     return (np.abs(means) ** 2).sum(axis=1) / y.n_snapshots + np.maximum(tau, 0.0)
+
+
+def reference_run(g, grid, y, lam, max_iters, tol, cost_trace):
+    """``sbl_run`` as a per-iteration loop over validated states: a new
+    ``SblState`` per iteration and the EM step from ``C^{-1} Phi`` with one
+    einsum each for ``s`` and ``q``."""
+    state = SblState.initialize(g, grid, lam)
+    r = scm(y)
+    cost_trace.append(sbl_cost(state, r))
+    for it in range(1, max_iters + 1):
+        phi, gamma = state.dictionary, state.gamma
+        ci_phi = nx.inv_from_factor(nx.chol_factor(state.model_covariance())) @ phi
+        s_diag = np.real(np.einsum("mg,mg->g", phi.conj(), ci_phi))
+        q_diag = np.real(np.einsum("mg,mg->g", ci_phi.conj(), r @ ci_phi))
+        gamma_new = np.maximum(gamma**2 * q_diag + gamma - gamma**2 * s_diag, 0.0)
+        change = np.max(np.abs(gamma_new - gamma) / np.maximum(gamma, 1e-12))
+        state = state.with_gamma(gamma_new)
+        cost_trace.append(sbl_cost(state, r))
+        if change < tol:
+            return state, it, False
+    return state, max_iters, True
+
+
+on_grid_positions = st.sets(st.integers(1, 11), max_size=5).map(
+    lambda rest: (0,) + tuple(sorted(rest))
+)
+off_grid_positions = st.lists(st.floats(0.3, 3.0), max_size=5).map(
+    lambda steps: (0.0,) + tuple(np.cumsum(steps).tolist())
+)
+random_problems = st.tuples(
+    st.one_of(on_grid_positions, off_grid_positions),
+    st.integers(5, 80),                              # grid size
+    st.integers(1, 60),                              # snapshots
+    st.floats(-1.3, 0.7).map(lambda e: 10.0**e),     # lam
+    st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3, unique=True).map(sorted),
+    st.floats(-5.0, 20.0),                           # SNR in dB
+    st.integers(0, 2**32 - 1),
+)
+
+
+def draw_problem(problem):
+    positions, grid_size, n_snap, lam, u, snr_db, seed = problem
+    g = ArrayGeometry(positions)
+    grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
+    y = simulate(SourceScene.from_snr(tuple(u), snr_db), g, n_snap, seed=seed)
+    return g, grid, y, lam
 
 
 class TestSblCost:
@@ -157,6 +206,26 @@ class TestSblRun:
         np.testing.assert_array_equal(
             done.gamma, sbl_run(g, grid, y, lam=1.0, max_iters=1, tol=0.0).gamma
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_problems, st.sampled_from([0.0, 1e-6, 1e-2]))
+    def test_keeps_the_reference_trajectory(self, problem, tol):
+        g, grid, y, lam = draw_problem(problem)
+        want_costs: list[float] = []
+        want, iters, capped = reference_run(g, grid, y, lam, 150, tol, want_costs)
+        costs: list[float] = []
+        got = sbl_run(g, grid, y, lam, max_iters=150, tol=tol, cost_trace=costs)
+        assert (got.iters, got.capped) == (iters, capped)
+        assert np.abs(got.gamma - want.gamma).max() <= 1e-9 * want.gamma.max()
+        np.testing.assert_allclose(costs, want_costs, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_problems)
+    def test_cost_never_rises(self, problem):
+        g, grid, y, lam = draw_problem(problem)
+        costs: list[float] = []
+        sbl_run(g, grid, y, lam, max_iters=100, tol=0.0, cost_trace=costs)
+        assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_validation(self):
         g = ArrayGeometry.ula(3)
