@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import experiments as xp
 from .geometry import ArrayGeometry, GeometryError
-from .sigmodel import scm, simulate
+from .sigmodel import simulate
 from .estimate import music_spectrum
 
 
@@ -90,7 +90,7 @@ def cmd_estimate(args) -> int:
         if "structcovmle" in diags:  # reuse the estimator run's covariance
             cov = diags["structcovmle"]["covariance"]
         else:
-            cov = xp.covariance_estimate("structcovmle", scm(y), cfg, {})
+            cov = xp.covariance_estimate("structcovmle", y, cfg, {})
         spec = music_spectrum(cov, cfg.k, grid)
         spath = os.path.join(args.out, f"{cfg.out_prefix}_spectrum.csv")
         xp.write_csv(spath, ["u", "value"], [[u, s] for u, s in zip(grid, spec)])

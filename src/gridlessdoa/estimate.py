@@ -2,10 +2,8 @@
 
 Root-MUSIC factors the noise-subspace projector polynomial; a PSD Toeplitz
 matrix of rank D decomposes uniquely into D manifold outer products, which
-recovers directions and powers.  Two pipelines cover sparse arrays whose
-coarrays have more contiguous lags than sensors: reading the contiguous lags
-out of a recovered lag vector (method 1) and coarray spatial smoothing of
-the SCM before the solver (method 2).
+recovers directions and powers.  The covariances come from
+``experiments.covariance_estimate``.
 """
 
 from __future__ import annotations
@@ -15,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
-from .geometry import ArrayGeometry, coarray, toeplitz_embed
-from .mlesolve import MleConfig, structcov_mle
-from .sigmodel import ContiguousLagError, spatial_smooth
 
 
 class EstimateError(Exception):
@@ -208,32 +203,3 @@ def vandermonde_decompose(
     powers = _nonneg_lstsq(a, b)
     return DoaEstimate(u=est.u, powers=powers)
 
-
-def method1(v: np.ndarray, g: ArrayGeometry, k: int) -> DoaEstimate:
-    """Root-MUSIC on the Toeplitz matrix of the contiguous-lag run of v.
-
-    Uses the first ``Mc`` lag entries (the run of observed lags starting at
-    0), so a coarray with many contiguous lags resolves more sources than
-    there are sensors.  The embedded Toeplitz matrix may be indefinite; the
-    noise subspace is still read off the smallest eigenvalues.
-    """
-    mc = coarray(g).contiguous
-    if k >= mc:
-        raise ContiguousLagError(f"need k < contiguous lag run, got k={k}, run={mc}")
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    return root_music(toeplitz_embed(v[:mc]), k)
-
-
-def method2(r: np.ndarray, g: ArrayGeometry, k: int, cfg: MleConfig) -> DoaEstimate:
-    """Spatial smoothing onto the contiguous-lag virtual ULA, then the solver.
-
-    Smooths the SCM into an Mc x Mc PSD matrix, fits the Toeplitz model on
-    the virtual ULA, and runs root-MUSIC on the recovered matrix.
-    """
-    mc = coarray(g).contiguous
-    if k >= mc:
-        raise ContiguousLagError(f"need k < contiguous lag run, got k={k}, run={mc}")
-    rz = spatial_smooth(r, g)
-    ula = ArrayGeometry.ula(mc)
-    v = structcov_mle(rz, ula, cfg)
-    return root_music(toeplitz_embed(v), k)

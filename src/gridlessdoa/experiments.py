@@ -5,11 +5,11 @@ sections (see ``CONFIG_KEYS``).  A run sweeps one axis (SNR, correlation
 magnitude, snapshot count, or nothing), fans independent trials out over
 workers, and writes deterministic CSV tables plus a metadata JSON with
 timing.  Every experiment kind runs the same trial, ``run_one_trial``:
-simulate once, run every estimator.  ``single_snapshot`` is the one kind
-that changes the outputs: its trials also keep each covariance estimator's
-MUSIC spectrum.  Results are keyed by (axis, trial) so the output is
-invariant to the degree of parallelism, and all randomness is derived from
-the base seed and trial index.
+simulate once, run every estimator; all but ``refine`` are a covariance read
+by root-MUSIC.  ``single_snapshot`` is the one kind that changes the outputs:
+its trials also keep each covariance's MUSIC spectrum.  Results are keyed by
+(axis, trial) so the output is invariant to the degree of parallelism, and
+all randomness is derived from the base seed and trial index.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimate import DoaEstimate, EstimateError, method1, method2, music_spectrum, root_music
+from .estimate import DoaEstimate, EstimateError, music_spectrum, root_music
 from .geometry import ArrayGeometry, GeometryError, coarray, nested_completion, toeplitz_embed
 from .metrics import MetricsError, assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
 from .mlesolve import CompletionPlan, MleConfig, SolverError, em_gridless, structcov_mle
@@ -31,6 +31,7 @@ from .numerics import NumericsError
 from .refine import RefineError, multires_refine
 from .sbl import SblError
 from .sigmodel import ModelError, SnapshotMatrix, SourceScene, fb_average, scm, simulate
+from .sigmodel import ContiguousLagError, spatial_smooth
 
 EXPERIMENT_KINDS = (
     "single_snapshot",
@@ -44,14 +45,11 @@ EXPERIMENT_KINDS = (
 
 ESTIMATORS = ("scm-music", "fb-music", "structcovmle", "method1", "method2", "em", "refine")
 
-# Estimators that reduce to a covariance matrix read by root-MUSIC or MUSIC.
-COVARIANCE_ESTIMATORS = ("scm-music", "fb-music", "structcovmle")
-
 SWEEP_AXES = ("none", "snr_db", "rho_abs", "snapshots")
 
 CONFIG_KEYS = {
     "experiment.kind": f"one of {', '.join(EXPERIMENT_KINDS)}; only single_snapshot changes"
-    " the outputs (adds MUSIC spectra; needs sweep.axis = none and covariance estimators)",
+    " the outputs (adds MUSIC spectra; needs sweep.axis = none and any estimator but refine)",
     "experiment.trials": "integer >= 1",
     "experiment.seed": "integer",
     "geometry.positions": "comma-separated sensor positions starting at 0",
@@ -67,7 +65,6 @@ CONFIG_KEYS = {
     "solver.iter": "outer MM iterations, >= 1 (default 20)",
     "solver.lambda": "noise variance fed to the solver, > 0 (default 1.0)",
     "solver.lambda_m_factor": "latent-sensor noise multiplier, > 0 (default 1000)",
-    "solver.inner_iter": "inner iterations for the EM variant, >= 1 (default 1)",
     "refine.grid_size": "initial uniform grid size, >= 1 (default 150)",
     "refine.g_factor": "per-round resolution factor, > 1 (default 3)",
     "refine.gamma_thresh": "pruning threshold, >= 0 (default 1e-3)",
@@ -100,7 +97,6 @@ class ExperimentConfig:
     solver_iter: int = 20
     solver_lambda: float = 1.0
     solver_lambda_m_factor: float = 1000.0
-    solver_inner_iter: int = 1
     refine_grid_size: int = 150
     refine_g_factor: int = 3
     refine_gamma_thresh: float = 1e-3
@@ -138,9 +134,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def floats(key: str) -> tuple[float, ...]:
         try:
-            return tuple(float(tok) for tok in need(key).split(",") if tok.strip())
+            values = tuple(float(tok) for tok in need(key).split(",") if tok.strip())
         except ValueError:
             _fail(key, f"could not parse {raw[key]!r} as numbers")
+        if not all(map(math.isfinite, values)):
+            _fail(key, f"{raw[key]!r} has a non-finite value")
+        return values
 
     # ``low``/``strict``: the range the solvers enforce, checked here so a bad
     # value is a config error and not a sweep of failed trials.
@@ -153,7 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
             value = float(need(key))
         except ValueError:
             _fail(key, f"could not parse {raw[key]!r} as a number")
-        ok = low is None or (math.isfinite(value) and (value > low if strict else value >= low))
+        ok = math.isfinite(value) and (low is None or (value > low if strict else value >= low))
         if not ok:
             _fail(key, f"{value} is out of range")
         return value
@@ -187,10 +186,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(snr) != len(u):
         _fail("scene.snr_db", "need one SNR per source (or a single shared value)")
 
-    rho_abs = one_float("scene.rho_abs", 0.0)
-    if not 0.0 <= rho_abs <= 1.0:
-        _fail("scene.rho_abs", f"{rho_abs} outside [0, 1]")
-
     trials = one_int("experiment.trials", low=1)
     snapshots = one_int("scene.snapshots", low=1)
 
@@ -207,18 +202,19 @@ def parse_config(text: str) -> ExperimentConfig:
         values = (math.nan,)
     elif not values:
         _fail("sweep.values", "must be nonempty for a sweeping axis")
+    elif axis == "snapshots" and any(x < 1 or x != int(x) for x in values):
+        _fail("sweep.values", "snapshot counts must be integers >= 1")
 
     k = one_int("estimate.k", len(u), low=1)
-    spectra_ok = set(estimators) <= set(COVARIANCE_ESTIMATORS) and axis == "none"
-    if kind == "single_snapshot" and not spectra_ok:
-        _fail("experiment.kind", "single_snapshot needs sweep.axis none and covariance estimators")
+    if kind == "single_snapshot" and ("refine" in estimators or axis != "none"):
+        _fail("experiment.kind", "single_snapshot needs sweep.axis none and no refine estimator")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=kind,
         geometry=geometry,
         scene_u=u,
         scene_snr_db=snr,
-        rho_abs=rho_abs,
+        rho_abs=one_float("scene.rho_abs", 0.0, low=0.0),
         rho_phase=one_float("scene.rho_phase", 0.0),
         snapshots=snapshots,
         estimators=estimators,
@@ -230,7 +226,6 @@ def parse_config(text: str) -> ExperimentConfig:
         solver_iter=one_int("solver.iter", 20, low=1),
         solver_lambda=one_float("solver.lambda", 1.0, low=0.0, strict=True),
         solver_lambda_m_factor=one_float("solver.lambda_m_factor", 1000.0, low=0.0, strict=True),
-        solver_inner_iter=one_int("solver.inner_iter", 1, low=1),
         refine_grid_size=one_int("refine.grid_size", 150, low=1),
         refine_g_factor=one_int("refine.g_factor", 3, low=2),
         refine_gamma_thresh=one_float("refine.gamma_thresh", 1e-3, low=0.0),
@@ -239,6 +234,14 @@ def parse_config(text: str) -> ExperimentConfig:
         spectrum_grid=one_int("spectrum.grid", 600, low=1),
         out_prefix=raw.get("output.prefix", "experiment"),
     )
+    # SourceScene knows the valid scenes: check the configured one, then each sweep value's.
+    scenes = [("scene.*", replace(cfg, sweep_axis="none"), 0)]
+    for key, c, a in scenes + [("sweep.values", cfg, a) for a in range(len(values))]:
+        try:
+            axis_scene(c, a)
+        except ModelError as exc:
+            _fail(key, str(exc))
+    return cfg
 
 
 # -- scene / estimator plumbing -----------------------------------------------
@@ -278,20 +281,36 @@ def _mle_config(cfg: ExperimentConfig, diagnostics: dict) -> MleConfig:
         lam=cfg.solver_lambda,
         lam_m=cfg.solver_lambda * cfg.solver_lambda_m_factor,
         outer_iters=cfg.solver_iter,
-        inner_iters=cfg.solver_inner_iter,
         callback=lambda _k, _v, cost: trace.append(cost),
     )
 
 
 def covariance_estimate(
-    name: str, r: np.ndarray, cfg: ExperimentConfig, diagnostics: dict
+    name: str, y: SnapshotMatrix, cfg: ExperimentConfig, diagnostics: dict
 ) -> np.ndarray:
-    """Covariance of one of ``COVARIANCE_ESTIMATORS`` from the SCM ``r``."""
+    """Covariance that estimator ``name`` (any but ``refine``) hands to root-MUSIC:
+    the SCM ``r``, ``fb_average(r)``, or ``Toep`` of a lag vector from MM
+    (``structcovmle``), from EM (``em``), the MM vector's first Mc lags
+    (``method1``) or the MM fit of ``spatial_smooth(r)`` on the Mc-sensor ULA
+    (``method2``).  The last two need k < Mc, checked before any solve."""
+    g, r = cfg.geometry, scm(y)
     if name == "scm-music":
         return r
     if name == "fb-music":
         return fb_average(r)
-    return toeplitz_embed(structcov_mle(r, cfg.geometry, _mle_config(cfg, diagnostics)))
+    if name == "em":
+        plan = CompletionPlan.from_geometry(g)
+        return toeplitz_embed(em_gridless(y, g, plan, _mle_config(cfg, diagnostics)))
+    if name in ("method1", "method2"):
+        mc = coarray(g).contiguous
+        if cfg.k >= mc:
+            raise ContiguousLagError(f"need k < contiguous lag run, got k={cfg.k}, run={mc}")
+        if name == "method2":
+            r, g = spatial_smooth(r, g), ArrayGeometry.ula(mc)
+    elif name != "structcovmle":
+        raise ConfigError(f"config key 'estimators': unknown estimator {name!r}")
+    v = structcov_mle(r, g, _mle_config(cfg, diagnostics))
+    return toeplitz_embed(v[:mc] if name == "method1" else v)
 
 
 def run_estimator(
@@ -299,33 +318,16 @@ def run_estimator(
 ) -> DoaEstimate:
     """Dispatch one estimator; records solver cost traces in diagnostics.
 
-    A covariance estimator's covariance is computed once and kept in
-    ``diagnostics["covariance"]``; for the ``single_snapshot`` kind its MUSIC
-    spectrum on ``spectrum_grid`` goes to ``diagnostics["spectrum"]`` beside
-    the root-MUSIC estimate.
+    ``refine`` is grid SBL.  Any other estimator's covariance is computed
+    once, kept in ``diagnostics["covariance"]`` and read by root-MUSIC; for
+    ``single_snapshot`` its MUSIC spectrum goes to ``diagnostics["spectrum"]``.
     """
-    g = cfg.geometry
-    k = cfg.k
-    if name in COVARIANCE_ESTIMATORS:
-        cov = diagnostics["covariance"] = covariance_estimate(name, scm(y), cfg, diagnostics)
-        est = root_music(cov, k)
-        if cfg.kind == "single_snapshot":
-            diagnostics["spectrum"] = music_spectrum(cov, k, spectrum_grid(cfg)).tolist()
-        return est
-    if name == "method1":
-        return method1(structcov_mle(scm(y), g, _mle_config(cfg, diagnostics)), g, k)
-    if name == "method2":
-        return method2(scm(y), g, k, _mle_config(cfg, diagnostics))
-    if name == "em":
-        plan = CompletionPlan.from_geometry(g)
-        v = em_gridless(y, g, plan, _mle_config(cfg, diagnostics))
-        return root_music(toeplitz_embed(v), k)
     if name == "refine":
         rounds: list[dict] = []
         est = multires_refine(
             y,
-            g,
-            k,
+            cfg.geometry,
+            cfg.k,
             lam=cfg.solver_lambda,
             grid_size=cfg.refine_grid_size,
             g_factor=cfg.refine_g_factor,
@@ -336,7 +338,11 @@ def run_estimator(
         )
         diagnostics["rounds"] = rounds
         return est
-    raise ConfigError(f"config key 'estimators': unknown estimator {name!r}")
+    cov = diagnostics["covariance"] = covariance_estimate(name, y, cfg, diagnostics)
+    est = root_music(cov, cfg.k)
+    if cfg.kind == "single_snapshot":
+        diagnostics["spectrum"] = music_spectrum(cov, cfg.k, spectrum_grid(cfg)).tolist()
+    return est
 
 
 def _record_solver(record: dict, diagnostics: dict) -> None:

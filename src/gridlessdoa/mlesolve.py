@@ -68,14 +68,13 @@ class MleConfig:
 
     ``lam`` is the noise variance fed to the model (assumed known).  The EM
     variant additionally uses ``lam_m`` for the latent sensors; when unset it
-    defaults to ``1e3 * lam``.  The outer loop runs a fixed ``outer_iters``
-    iterations with no early stop.  The barrier schedule is module constants.
+    defaults to ``1e3 * lam``.  The outer loop runs ``outer_iters`` subproblem
+    solves with no early stop.  The barrier schedule is module constants.
     """
 
     lam: float = 1.0
     lam_m: float | None = None
     outer_iters: int = 20
-    inner_iters: int = 1
     callback: Callable[[int, np.ndarray, float], None] | None = None
 
     def __post_init__(self) -> None:
@@ -83,8 +82,8 @@ class MleConfig:
             raise SolverError("lam must be positive")
         if self.lam_m is not None and self.lam_m <= 0:
             raise SolverError("lam_m must be positive")
-        if self.outer_iters < 1 or self.inner_iters < 1:
-            raise SolverError("iteration counts must be at least 1")
+        if self.outer_iters < 1:
+            raise SolverError("outer_iters must be at least 1")
 
     @property
     def lam_missing(self) -> float:
@@ -363,7 +362,6 @@ def _majorize_minimize(
     fit_matrix: Callable[[np.ndarray], np.ndarray],
     fit_geometry: ArrayGeometry,
     noise: np.ndarray,
-    inner_iters: int,
     r: np.ndarray,
     g: ArrayGeometry,
     cfg: MleConfig,
@@ -372,10 +370,11 @@ def _majorize_minimize(
 
     Starts at the unit lag vector (identity model).  Each of the
     ``outer_iters`` iterations takes the matrix to fit, ``fit_matrix(v)``,
-    and runs ``inner_iters`` subproblem solves on ``fit_geometry``, each
-    majorizing the log-det term of ``T(v) + diag(noise)`` at the current
-    iterate.  A failed line search is retried once from a jittered start.
-    The callback sees the ML cost of ``cfg.lam`` and the SCM ``r`` on the
+    and solves one subproblem on ``fit_geometry`` majorizing the log-det term
+    of ``T(v) + diag(noise)`` at ``v``.  The start ``v`` passed ``factor`` in
+    the last solve (same geometry and noise), so it is a candidate and a
+    failed line search returns the best point instead of raising.  The
+    callback sees the ML cost of ``cfg.lam`` and the SCM ``r`` on the
     physical geometry ``g``, which is non-increasing along the iterates.
     """
     v = np.zeros(coarray(fit_geometry).aperture, dtype=np.complex128)
@@ -383,15 +382,7 @@ def _majorize_minimize(
     if cfg.callback is not None:
         cfg.callback(0, v.copy(), ml_cost(v, cfg.lam, r, g))
     for k in range(1, cfg.outer_iters + 1):
-        r_fit = fit_matrix(v)
-        for _ in range(inner_iters):
-            weights = _majorization(v, r_fit, fit_geometry, noise)
-            try:
-                v = solve_subproblem(weights, v, cfg)
-            except LineSearchError:
-                jitter = v.copy()
-                jitter[0] += 1e-8 * abs(jitter[0]) + 1e-12
-                v = solve_subproblem(weights, jitter, cfg)
+        v = solve_subproblem(_majorization(v, fit_matrix(v), fit_geometry, noise), v, cfg)
         if cfg.callback is not None:
             cfg.callback(k, v.copy(), ml_cost(v, cfg.lam, r, g))
     return v
@@ -407,7 +398,7 @@ def structcov_mle(r: np.ndarray, g: ArrayGeometry, cfg: MleConfig) -> np.ndarray
     """
     r = nx.hermitian_part(np.asarray(r, dtype=np.complex128))
     noise = np.full(g.m, cfg.lam)
-    return _majorize_minimize(lambda _v: r, g, noise, 1, r, g, cfg)
+    return _majorize_minimize(lambda _v: r, g, noise, r, g, cfg)
 
 
 # -- EM variant: interpolate missing correlation lags -------------------------
@@ -485,10 +476,9 @@ def em_gridless(
     """EM recovery with latent sensors interpolating missing correlation lags.
 
     Each major iteration computes the conditional complete-data SCM, then
-    runs ``inner_iters`` majorized subproblem solves on the completed
-    geometry.  The observed-data ML cost is non-increasing over major
-    iterations; with no missing sensors the trajectory coincides with
-    ``structcov_mle``.
+    solves one majorized subproblem on the completed geometry.  The
+    observed-data ML cost is non-increasing over major iterations; with no
+    missing sensors the trajectory coincides with ``structcov_mle``.
     """
     lam_m = cfg.lam_missing
     cg = plan.complete_geometry
@@ -498,5 +488,5 @@ def em_gridless(
     noise = _complete_noise_diag(plan, cfg.lam, lam_m)
     return _majorize_minimize(
         lambda v: em_estep(v, y_o, plan, cfg.lam, lam_m),
-        cg, noise, cfg.inner_iters, scm(y_o), g, cfg,
+        cg, noise, scm(y_o), g, cfg,
     )

@@ -45,6 +45,8 @@ class SourceScene:
         p = tuple(float(x) for x in self.powers)
         if len(u) != len(p):
             raise ModelError("u and powers must have matching length")
+        if not np.all(np.isfinite(u + p + (self.rho, self.noise_var))):
+            raise ModelError("u, powers, rho and noise_var must be finite")
         if any(b - a <= 0 for a, b in zip(u, u[1:])):
             raise ModelError("u must be strictly increasing")
         if any(x < -1.0 or x >= 1.0 for x in u):

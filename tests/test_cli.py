@@ -44,6 +44,13 @@ SPECTRUM_CONFIG = (
     + "spectrum.grid = 32\n"
 )
 
+# Spectra of the solver-backed covariances on a sparse (nested) array.
+SPARSE_SPECTRUM_CONFIG = (
+    SPECTRUM_CONFIG.replace("0,1,2,3", "0,1,2,3,7,11")
+    .replace("scm-music,fb-music", "structcovmle,method1,method2,em")
+    + "solver.iter = 4\n"
+)
+
 
 class TestParseConfig:
     def test_valid(self):
@@ -84,6 +91,8 @@ class TestParseConfig:
             "solver.lambda_m_factor = -1",
             "solver.iter = 0",
             "solver.inner_iter = 0",
+            "scene.snr_db = nan",
+            "scene.rho_phase = inf",
             "refine.grid_size = 0",
             "refine.g_factor = 1",
             "refine.rounds = -1",
@@ -105,19 +114,42 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "text",
         [
-            SPECTRUM_CONFIG.replace("scm-music,fb-music", "scm-music,em"),
+            SPECTRUM_CONFIG.replace("scm-music,fb-music", "scm-music,refine"),
             SPECTRUM_CONFIG.replace("sweep.axis = none", "sweep.axis = snr_db\nsweep.values = 10"),
         ],
         ids=["non-covariance-estimator", "sweep-axis"],
     )
     def test_single_snapshot_rejections(self, tmp_path, capsys, text):
-        # spectra are taken from covariance estimators at one axis value only
+        # spectra are taken from covariances (every estimator but refine) at
+        # one axis value only
         with pytest.raises(ConfigError, match=re.escape("'experiment.kind'")):
             parse_config(text)
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "experiment.kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("sweep.axis = snapshots\nsweep.values = 0", "sweep.values"),
+            ("sweep.axis = snapshots\nsweep.values = 2.5", "sweep.values"),
+            ("sweep.axis = rho_abs\nsweep.values = 1.5", "sweep.values"),
+            ("sweep.values = 10,nan", "sweep.values"),
+            ("scene.rho_abs = 0.9\nscene.rho_phase = inf", "scene.rho_phase"),
+            ("scene.rho_abs = 1.5", "scene.*"),
+            ("scene.u = -0.5,1.5", "scene.*"),
+        ],
+    )
+    def test_scene_and_sweep_values(self, tmp_path, capsys, lines, key):
+        # every scene a sweep runs is built at parse time, so a bad value
+        # exits 2 naming its key instead of failing (or running) later
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+            parse_config(BASE_CONFIG + lines + "\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG + lines + "\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -136,15 +168,18 @@ class TestRunExperiment:
         assert "crb" in header
 
     @pytest.mark.parametrize(
-        "text", [BASE_CONFIG, SPECTRUM_CONFIG], ids=["snr_sweep", "single_snapshot"]
+        "text, spectra",
+        [(BASE_CONFIG, 0), (SPECTRUM_CONFIG, 2), (SPARSE_SPECTRUM_CONFIG, 4)],
+        ids=["snr_sweep", "single_snapshot", "single_snapshot_sparse"],
     )
-    def test_parallel_invariance(self, tmp_path, text):
+    def test_parallel_invariance(self, tmp_path, text, spectra):
         cfg = parse_config(text)
         run_experiment(cfg, tmp_path / "s", jobs=1)
         run_experiment(cfg, tmp_path / "p", jobs=2)
         names = sorted(p.name for p in (tmp_path / "s").glob("*.csv"))
         assert names == sorted(p.name for p in (tmp_path / "p").glob("*.csv"))
         assert "tiny_summary.csv" in names and "tiny_trials.csv" in names
+        assert sum(name.endswith("_spectrum.csv") for name in names) == spectra
         for name in names:
             assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 

@@ -1,19 +1,36 @@
+import math
+
 import numpy as np
 import pytest
 
-from gridlessdoa.estimate import (
-    EstimateError,
-    method1,
-    method2,
-    music_spectrum,
-    root_music,
-    vandermonde_decompose,
-)
-from gridlessdoa.geometry import ArrayGeometry, toeplitz_embed
-from gridlessdoa.mlesolve import MleConfig, structcov_mle
+from gridlessdoa import experiments
+from gridlessdoa.estimate import EstimateError, music_spectrum, root_music, vandermonde_decompose
+from gridlessdoa.experiments import ExperimentConfig, run_estimator
+from gridlessdoa.geometry import ArrayGeometry, coarray, toeplitz_embed
+from gridlessdoa.mlesolve import CompletionPlan, MleConfig, em_gridless, structcov_mle
 from gridlessdoa.sigmodel import ContiguousLagError, SourceScene, simulate, scm, spatial_smooth
 
 from conftest import scene_covariance, toeplitz_scene
+
+
+# Reference forms of the two sparse-array pipelines as standalone functions:
+# ``experiments.run_estimator`` must match them bit for bit.
+def method1(v: np.ndarray, g: ArrayGeometry, k: int):
+    """Root-MUSIC on the Toeplitz matrix of the contiguous-lag run of v."""
+    mc = coarray(g).contiguous
+    if k >= mc:
+        raise ContiguousLagError(f"need k < contiguous lag run, got k={k}, run={mc}")
+    v = np.asarray(v, dtype=np.complex128).ravel()
+    return root_music(toeplitz_embed(v[:mc]), k)
+
+
+def method2(r: np.ndarray, g: ArrayGeometry, k: int, cfg: MleConfig):
+    """Spatial smoothing onto the contiguous-lag virtual ULA, then the solver."""
+    mc = coarray(g).contiguous
+    if k >= mc:
+        raise ContiguousLagError(f"need k < contiguous lag run, got k={k}, run={mc}")
+    v = structcov_mle(spatial_smooth(r, g), ArrayGeometry.ula(mc), cfg)
+    return root_music(toeplitz_embed(v), k)
 
 
 class TestRootMusic:
@@ -203,3 +220,53 @@ class TestMethod2:
             return float(np.mean(widths))
 
         assert mean_half_power_width(spec2) < mean_half_power_width(spec1)
+
+
+def dispatch_config(positions, u) -> ExperimentConfig:
+    return ExperimentConfig(
+        kind="custom", geometry=ArrayGeometry(positions), scene_u=u, scene_snr_db=(10.0,) * len(u),
+        rho_abs=0.0, rho_phase=0.0, snapshots=40, estimators=("method1", "method2", "em"),
+        k=len(u), sweep_axis="none", sweep_values=(math.nan,), trials=1, seed=0, solver_iter=4,
+    )
+
+
+class TestEstimatorDispatch:
+    # k < Mc on each: the ULA and the nested array are hole-free, the NULA's
+    # contiguous lag run is 2 long
+    @pytest.mark.parametrize(
+        "positions, u",
+        [((0, 1, 2, 3, 4), (-0.3, 0.4)), ((0, 1, 2, 3, 7, 11), (-0.3, 0.1, 0.5)),
+         ((0, 1, 5, 6, 10, 11), (0.2,))],
+        ids=["ula", "nested", "nula"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_pipelines(self, positions, u, seed):
+        cfg = dispatch_config(positions, u)
+        g, k = cfg.geometry, cfg.k
+        y = simulate(SourceScene.from_snr(u, 10.0), g, cfg.snapshots, seed=seed)
+        mle = MleConfig(lam=1.0, lam_m=1000.0, outer_iters=cfg.solver_iter)
+        plan = CompletionPlan.from_geometry(g)
+        want = {
+            "method1": method1(structcov_mle(scm(y), g, mle), g, k),
+            "method2": method2(scm(y), g, k, mle),
+            "em": root_music(toeplitz_embed(em_gridless(y, g, plan, mle)), k),
+        }
+        for name, est in want.items():
+            got = run_estimator(name, y, cfg, {})
+            assert np.array_equal(got.u, est.u), name
+
+    @pytest.mark.parametrize("name", ["method1", "method2"])
+    def test_short_contiguous_run_rejected_before_solving(self, monkeypatch, name):
+        calls = []
+        solve = experiments.structcov_mle
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(experiments, "structcov_mle", counted)
+        cfg = dispatch_config((0, 1, 5, 6, 10, 11), (-0.3, 0.4))  # k = 2 = Mc
+        y = simulate(SourceScene.from_snr(cfg.scene_u, 10.0), cfg.geometry, cfg.snapshots, seed=0)
+        with pytest.raises(ContiguousLagError):
+            run_estimator(name, y, cfg, {})
+        assert calls == []

@@ -333,6 +333,32 @@ class TestBarrierFactor:
             np.testing.assert_allclose(low_t @ low_t.conj().T, toeplitz_embed(v), atol=1e-12 * np.abs(v).max())
 
 
+class TestSolveSubproblemResult:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        short_aperture_positions,
+        st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_result_passes_factor(self, positions, lag_scale, seed):
+        # the MM loop starts each solve at the last result, under new weights
+        # and data but the same geometry and noise; that start is a candidate,
+        # so no solve fails its line search, only if it passes factor()
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        noise = 0.2 + rng.random(g.m)
+
+        def weights():
+            return SubproblemWeights(
+                weight=random_psd(rng, g.m, load=0.1), noise_diag=noise,
+                data_matrix=random_psd(rng, g.m, load=0.1), geometry=g,
+            )
+
+        start = unpack_lags(lag_scale * rng.standard_normal(2 * coarray(g).aperture - 1))
+        v = solve_subproblem(weights(), start, MleConfig())
+        assert _BarrierProblem(weights()).factor(pack_lags(v)) is not None
+
+
 class TestStructcovMle:
     def test_identity_data(self):
         g = ArrayGeometry.ula(4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ class TestSourceScene:
             SourceScene((0.0,), (0.0,))  # zero power
         with pytest.raises(ModelError):
             SourceScene((0.0, 0.5), (1.0, 1.0), rho=1.5)
+
+    @pytest.mark.parametrize(
+        "u, powers, rho, noise_var",
+        [
+            ((math.nan,), (1.0,), 0.0, 1.0),
+            ((0.0,), (math.inf,), 0.0, 1.0),
+            ((0.0, 0.5), (1.0, 1.0), complex(math.nan, math.nan), 1.0),
+            ((0.0,), (1.0,), 0.0, math.nan),
+        ],
+        ids=["u", "powers", "rho", "noise_var"],
+    )
+    def test_rejects_non_finite(self, u, powers, rho, noise_var):
+        with pytest.raises(ModelError, match="finite"):
+            SourceScene(u, powers, rho=rho, noise_var=noise_var)
 
     def test_from_snr(self):
         scene = SourceScene.from_snr((-0.5, 0.5), 20.0)
