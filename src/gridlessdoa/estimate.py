@@ -167,31 +167,24 @@ def _nonneg_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def vandermonde_decompose(
-    t: np.ndarray,
-    rank_tol: float = 1e-8,
-    subtract_noise: bool = False,
-) -> DoaEstimate:
-    """Decompose a PSD Toeplitz matrix into manifold outer products.
+def vandermonde_decompose(t: np.ndarray, rank_tol: float = 1e-8) -> DoaEstimate:
+    """Decompose a rank-deficient PSD Toeplitz matrix into manifold outer products.
 
     The numerical rank D (eigenvalues above ``rank_tol`` times the largest)
     fixes the number of components; directions come from root-MUSIC with
     k = D and powers from nonnegative least squares of the first-row lag
-    vector on the component basis.  A full-rank input has no noise split and
-    is an error unless ``subtract_noise`` is set, which decomposes
-    ``T - lambda_min I`` instead.
+    vector on the component basis.  The input is a noise-free ``Toep(v)``,
+    such as an MM iterate on the PSD boundary; a full-rank input has no
+    noise subspace and is an error.
     """
     t = nx.hermitian_part(np.asarray(t, dtype=np.complex128))
     n = t.shape[0]
     eig = nx.herm_eig(t)
     if eig.values[0] < -rank_tol * max(1.0, abs(eig.values[-1])):
         raise EstimateError("input is not positive semidefinite within rank_tol")
-    if subtract_noise:
-        t = t - eig.values[0] * np.eye(n)
-        eig = nx.herm_eig(t)
     rank = int(np.sum(eig.values > rank_tol * max(eig.values.max(), 1e-300)))
     if rank >= n:
-        raise EstimateError("input has full numerical rank; enable subtract_noise")
+        raise EstimateError("input has full numerical rank: no noise subspace to split off")
     if rank == 0:
         return DoaEstimate(u=np.empty(0), powers=np.empty(0))
     est = root_music(t, rank)

@@ -59,7 +59,8 @@ CONFIG_KEYS = {
     "scene.rho_phase": "correlation phase in radians",
     "scene.snapshots": "integer >= 1",
     "estimate.k": "number of sources to estimate (defaults to len(scene.u))",
-    "estimators": f"comma-separated subset of {', '.join(ESTIMATORS)}",
+    "estimators": f"comma-separated subset of {', '.join(ESTIMATORS)}; scm-music and fb-music"
+    " need a ULA (positions 0..m-1), structcovmle, em, method1 and method2 integer positions",
     "sweep.axis": f"one of {', '.join(SWEEP_AXES)}",
     "sweep.values": "comma-separated axis values (nonempty unless axis=none)",
     "solver.iter": "outer MM iterations, >= 1 (default 20)",
@@ -206,6 +207,13 @@ def parse_config(text: str) -> ExperimentConfig:
         _fail("sweep.values", "snapshot counts must be integers >= 1")
 
     k = one_int("estimate.k", len(u), low=1)
+    for name in (e for e in estimators if e != "refine"):
+        try:
+            order = covariance_order(name, geometry)
+        except GeometryError as exc:
+            _fail("estimators", f"{name} cannot run on this geometry: {exc}")
+        if k >= order:
+            _fail("estimators", f"{name} needs estimate.k < {order}, its covariance order; got {k}")
     if kind == "single_snapshot" and ("refine" in estimators or axis != "none"):
         _fail("experiment.kind", "single_snapshot needs sweep.axis none and no refine estimator")
 
@@ -214,7 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
         geometry=geometry,
         scene_u=u,
         scene_snr_db=snr,
-        rho_abs=one_float("scene.rho_abs", 0.0, low=0.0),
+        rho_abs=one_float("scene.rho_abs", 0.0),
         rho_phase=one_float("scene.rho_phase", 0.0),
         snapshots=snapshots,
         estimators=estimators,
@@ -257,6 +265,8 @@ def axis_scene(cfg: ExperimentConfig, axis_index: int) -> tuple[SourceScene, int
         rho_abs = value
     elif cfg.sweep_axis == "snapshots":
         n_snap = int(value)
+    if rho_abs < 0:
+        raise ModelError(f"rho_abs {rho_abs} is negative")
     return SourceScene.from_snr(cfg.scene_u, snr, rho=rho_abs * np.exp(1j * cfg.rho_phase)), n_snap
 
 
@@ -285,6 +295,20 @@ def _mle_config(cfg: ExperimentConfig, diagnostics: dict) -> MleConfig:
     )
 
 
+def covariance_order(name: str, g: ArrayGeometry) -> int:
+    """Order of the covariance estimator ``name`` (any but ``refine``) hands to
+    root-MUSIC: m for ``scm-music``/``fb-music``, which read the SCM as a ULA's,
+    Mc for ``method1``/``method2`` and the aperture for ``structcovmle``/``em``.
+    ``GeometryError`` where ``g`` cannot serve ``name``: the first two need
+    positions 0..m-1, the rest integer positions (a difference coarray)."""
+    if name in ("scm-music", "fb-music"):
+        if not g.on_grid or g.grid_positions() != tuple(range(g.m)):
+            raise GeometryError(f"positions are not those of a ULA, 0..{g.m - 1}")
+        return g.m
+    lags = coarray(g)
+    return lags.contiguous if name in ("method1", "method2") else lags.aperture
+
+
 def covariance_estimate(
     name: str, y: SnapshotMatrix, cfg: ExperimentConfig, diagnostics: dict
 ) -> np.ndarray:
@@ -302,7 +326,7 @@ def covariance_estimate(
         plan = CompletionPlan.from_geometry(g)
         return toeplitz_embed(em_gridless(y, g, plan, _mle_config(cfg, diagnostics)))
     if name in ("method1", "method2"):
-        mc = coarray(g).contiguous
+        mc = covariance_order(name, g)
         if cfg.k >= mc:
             raise ContiguousLagError(f"need k < contiguous lag run, got k={cfg.k}, run={mc}")
         if name == "method2":
@@ -355,10 +379,11 @@ def _record_solver(record: dict, diagnostics: dict) -> None:
 
 # Errors of the data (an ill-conditioned draw, a solver that cannot proceed):
 # they mark one estimator's trial failed.  Any other exception is a bug and
-# propagates out of the run.
+# propagates out of the run; that includes a ``GeometryError``, since
+# ``parse_config`` refuses every estimator the geometry cannot serve.
 DATA_ERRORS = (
     NumericsError, SolverError, SblError, RefineError, EstimateError, ModelError, MetricsError,
-    GeometryError, np.linalg.LinAlgError,
+    np.linalg.LinAlgError,
 )
 
 

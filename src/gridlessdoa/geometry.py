@@ -10,8 +10,8 @@ entry per nonnegative lag up to the aperture) to the Hermitian sensor-domain
 covariance ``T(v)`` with ``T(v)[i, j] = v[|p_i - p_j|]`` on the upper
 triangle and conjugates below.  ``T(v)`` is the principal submatrix of the
 full Hermitian Toeplitz embedding ``Toep(v)`` at the sensor positions.
-``LagMap`` is the one implementation of that map, its adjoint and its
-inverse on hole-free coarrays; ``Toep`` is the map of ``range(aperture)``.
+``LagMap`` is the one implementation of that map and its adjoint;
+``Toep`` is the map of ``range(aperture)``.
 """
 
 from __future__ import annotations
@@ -143,15 +143,6 @@ class LagMap:
         out[0] = np.trace(a).real
         return out
 
-    def extract(self, a: np.ndarray) -> np.ndarray:
-        """Lags of a structured matrix: lag 0 from the mean diagonal, every
-        other lag from its first upper-triangle pair; absent lags read 0."""
-        out = np.zeros(self.aperture, dtype=np.complex128)
-        lags, first = np.unique(self.lags, return_index=True)
-        out[lags] = a[self.rows[first], self.cols[first]]
-        out[0] = np.mean(np.diag(a)).real
-        return out
-
     @cached_property
     def dft(self) -> np.ndarray:
         """``exp(-2 pi i w p / N)``, (N, n), N = 2A-1: ``dft @ X @ dft.T`` is the 2-D DFT of
@@ -163,12 +154,6 @@ class LagMap:
 @lru_cache(maxsize=None)
 def lag_map(positions: tuple[int, ...]) -> LagMap:
     return LagMap(positions)
-
-
-def _square_map(a: np.ndarray, g: ArrayGeometry) -> LagMap:
-    if a.shape != (g.m, g.m):
-        raise GeometryError(f"matrix shape {a.shape} does not match geometry size {g.m}")
-    return lag_map(g.grid_positions())
 
 
 def structured_matrix(v: np.ndarray, g: ArrayGeometry) -> np.ndarray:
@@ -193,19 +178,9 @@ def adjoint_structured(a: np.ndarray, g: ArrayGeometry) -> np.ndarray:
     lag vector v, with ``<x, y> = sum conj(x) * y``.
     """
     a = np.asarray(a, dtype=np.complex128)
-    return _square_map(a, g).adjoint(a)
-
-
-def extract_lags(a: np.ndarray, g: ArrayGeometry) -> np.ndarray:
-    """Read the lag vector back out of a structured matrix.
-
-    Only defined for hole-free coarrays (the map is invertible there); each
-    lag is read from one representative upper-triangle entry.
-    """
-    if coarray(g).holes:
-        raise GeometryError("lag extraction undefined: coarray has holes")
-    a = np.asarray(a, dtype=np.complex128)
-    return _square_map(a, g).extract(a)
+    if a.shape != (g.m, g.m):
+        raise GeometryError(f"matrix shape {a.shape} does not match geometry size {g.m}")
+    return lag_map(g.grid_positions()).adjoint(a)
 
 
 # -- real parameterization -------------------------------------------------
@@ -276,8 +251,6 @@ def nested_completion(g: ArrayGeometry) -> tuple[int, ...]:
         if aperture % (s1 + 1):
             continue
         s2 = aperture // (s1 + 1)
-        if s2 < 1:
-            continue
         missing = tuple(sorted(set(nested_two_level(s1, s2)) - pos))
         key = (len(missing), s1)
         if best is None or key < (best[0], best[1]):

@@ -1,4 +1,4 @@
-"""Error metrics, distribution mismatch, and the stochastic Cramer-Rao bound.
+"""Error metrics and the stochastic Cramer-Rao bound.
 
 The bound is the closed form of Stoica & Nehorai (IEEE Trans. ASSP, 1990),
 built from the manifold, its derivative and the array covariance.
@@ -61,16 +61,6 @@ def success_rate(estimates: list[DoaEstimate], truth: SourceScene) -> float:
         caps = 0.5 * np.minimum(left, right)
     hits = [np.all(np.abs(assign_errors(e, truth)) < caps) for e in estimates]
     return float(np.mean(hits))
-
-
-def kl_gaussian(r_true: np.ndarray, sigma_model: np.ndarray) -> float:
-    """KL divergence between zero-mean complex Gaussians with these covariances.
-
-    ``log det(Sigma) - log det(R) - M + tr(Sigma^{-1} R)``; nonnegative and
-    zero exactly at equality.
-    """
-    r_true = np.asarray(r_true, dtype=np.complex128)
-    return nx.gaussian_nll(sigma_model, r_true) - nx.logdet_pd(r_true) - r_true.shape[0]
 
 
 def crb_stochastic(scene: SourceScene, g: ArrayGeometry, n_snapshots: int) -> np.ndarray:

@@ -98,11 +98,6 @@ def logdet_from_factor(low: np.ndarray) -> float:
     return float(2.0 * np.log(np.diag(low).real).sum())
 
 
-def logdet_pd(a: np.ndarray) -> float:
-    """log det of a Hermitian positive definite matrix via its Cholesky factor."""
-    return logdet_from_factor(chol_factor(a))
-
-
 def gaussian_nll(a: np.ndarray, r: np.ndarray) -> float:
     """``log det A + tr(A^{-1} R)`` for Hermitian positive definite A."""
     low = chol_factor(a)

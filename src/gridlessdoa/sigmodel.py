@@ -73,7 +73,10 @@ class SourceScene:
         """Scene with unit noise variance and powers set from per-source SNR."""
         if np.isscalar(snr_db):
             snr_db = tuple(float(snr_db) for _ in u)
-        powers = tuple(10.0 ** (s / 10.0) for s in snr_db)
+        try:
+            powers = tuple(10.0 ** (s / 10.0) for s in snr_db)
+        except OverflowError:
+            raise ModelError("snr_db is too large: the source power overflows") from None
         return cls(u=tuple(u), powers=powers, rho=rho, noise_var=1.0)
 
     @property

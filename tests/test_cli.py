@@ -139,11 +139,25 @@ class TestParseConfig:
             ("scene.rho_abs = 0.9\nscene.rho_phase = inf", "scene.rho_phase"),
             ("scene.rho_abs = 1.5", "scene.*"),
             ("scene.u = -0.5,1.5", "scene.*"),
+            ("scene.snr_db = 4000", "scene.*"),
+            ("sweep.values = 10,4000", "sweep.values"),
+            ("scene.rho_abs = -0.5", "scene.*"),
+            ("sweep.axis = rho_abs\nsweep.values = 0.5,-0.5", "sweep.values"),
+            ("geometry.positions = 0,1,2.1,3.5,4.7,10\nestimators = structcovmle,em,method1",
+             "estimators"),
+            ("geometry.positions = 0,1,2.1,3.5,4.7,10\nestimators = scm-music", "estimators"),
+            ("geometry.positions = 0,1,2,3,7,11\nestimators = scm-music,fb-music", "estimators"),
+            ("geometry.positions = 0,1,5,6,10,11\nestimators = method1", "estimators"),
+            ("estimate.k = 4", "estimators"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_scene_and_sweep_values(self, tmp_path, capsys, lines, key):
-        # every scene a sweep runs is built at parse time, so a bad value
-        # exits 2 naming its key instead of failing (or running) later
+        # every scene a sweep runs is built at parse time, and every estimator
+        # is checked against the geometry (scm-music/fb-music need a ULA, the
+        # gridless fits integer positions, all need k below their covariance
+        # order), so a bad value exits 2 naming its key instead of failing (or
+        # running) later
         with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
             parse_config(BASE_CONFIG + lines + "\n")
         path = tmp_path / "bad.cfg"

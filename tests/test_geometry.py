@@ -9,7 +9,6 @@ from gridlessdoa.geometry import (
     GeometryError,
     adjoint_structured,
     coarray,
-    extract_lags,
     nested_completion,
     nested_two_level,
     structured_matrix,
@@ -163,19 +162,6 @@ class TestAdjoint:
             assert adj[2] == 0.0
 
 
-class TestExtractLags:
-    def test_roundtrip_hole_free(self, rng):
-        g = ArrayGeometry((0, 1, 3))
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v[0] = abs(v[0])
-        np.testing.assert_allclose(extract_lags(structured_matrix(v, g), g), v, atol=1e-14)
-
-    def test_rejects_holes(self):
-        g = ArrayGeometry((0, 1, 4))
-        with pytest.raises(GeometryError):
-            extract_lags(np.eye(3, dtype=complex), g)
-
-
 def brute_nested_completion(positions):
     """Enumerate every nested pair with matching aperture; minimal addition wins."""
     aperture = max(positions) + 1
@@ -281,16 +267,6 @@ class TestLagMapProperties:
         rhs = np.real(np.vdot(v, adjoint_structured(a, g)))
         scale = np.linalg.norm(a) * np.linalg.norm(v) * g.m
         assert abs(lhs - rhs) <= 1e-13 * scale
-
-    @PROPERTY
-    @given(on_grid_positions, seeds)
-    def test_extract_inverts_assembly_without_holes(self, positions, seed):
-        rng = np.random.default_rng(seed)
-        g = ArrayGeometry(positions)
-        g = ArrayGeometry(tuple(sorted(set(positions) | set(nested_completion(g)))))
-        v = _random_lags(rng, coarray(g).aperture)
-        got = extract_lags(structured_matrix(v, g), g)
-        np.testing.assert_allclose(got, v, rtol=0, atol=1e-15 * np.abs(v).max())
 
     @PROPERTY
     @given(on_grid_positions, seeds)
