@@ -67,6 +67,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
+    if args.spectrum:  # the spectrum reads the structcovmle covariance
+        try:
+            xp.covariance_order("structcovmle", cfg.geometry)
+        except GeometryError as exc:
+            raise xp.ConfigError(f"--spectrum needs the structcovmle covariance: {exc}") from None
     scene, n_snap = xp.axis_scene(cfg, 0)
     y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
     os.makedirs(args.out, exist_ok=True)

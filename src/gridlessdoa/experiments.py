@@ -564,6 +564,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         "solver_runs": sum(rec.get("solver_runs", 0) for rec in records),
         "descent_violations": sum(rec.get("descent_violations", 0) for rec in records),
         "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rec in records for rnd in rec.get("rounds", [])),
+        "sbl_iters": sum(rnd["sbl_iters"] for rec in records for rnd in rec.get("rounds", [])),
         "cells": meta_cells,
     }
     with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:

@@ -7,6 +7,7 @@ removed from the model (the classic sequential update), and the grid is
 iteratively pruned and locally subdivided around the peaks.  Per-round cost
 stays bounded because pruning keeps the grid near its original size while
 the local resolution multiplies by the subdivision factor every round.
+A round's estimate is its top-k peak atoms refined on the k-atom likelihood.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import numerics as nx
 from .estimate import DoaEstimate
 from .geometry import ArrayGeometry
-from .sbl import SblState, sbl_cost, sbl_run, top_peaks
+from .sbl import SblState, qs_columns, sbl_cost, sbl_run, top_peaks
 from .sigmodel import SnapshotMatrix, manifold, scm
 
 
@@ -30,6 +31,10 @@ class RefineError(Exception):
 # peak_adjust: candidate directions per peak neighborhood, and its sweep cap.
 FINE_POINTS = 101
 MAX_SWEEPS = 30
+# atom_finish: first half-window in u, its shrink per sweep, last half-window.
+FINISH_WINDOW = 0.04
+FINISH_SHRINK = 4.0
+FINISH_STOP = 1e-10
 
 
 def qs_values(
@@ -49,9 +54,7 @@ def qs_values(
     gamma[exclude] = 0.0
     cinv = nx.inv_pd(state.with_gamma(gamma).model_covariance())
     phi = manifold(np.atleast_1d(np.asarray(u, dtype=np.float64)), g)
-    a = cinv @ phi
-    s = np.real(np.einsum("mg,mg->g", phi.conj(), a))
-    q = np.real(np.einsum("mg,mg->g", a.conj(), np.asarray(r, dtype=np.complex128) @ a))
+    q, s = qs_columns(phi, cinv, np.asarray(r, dtype=np.complex128))
     if np.ndim(u) == 0:
         return float(q[0]), float(s[0])
     return q, s
@@ -127,6 +130,32 @@ def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> Sbl
     return work
 
 
+def atom_finish(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> DoaEstimate:
+    """The k-source estimate of an SBL state: its top-k peak atoms, with the
+    rest of the grid dropped and ``lam`` kept, refined on the k-atom likelihood.
+
+    Each sweep moves every atom in turn to the best q/s of ``FINE_POINTS``
+    candidates over a window around it, with its power from ``gamma_opt``;
+    the half-window shrinks from ``FINISH_WINDOW`` by ``FINISH_SHRINK`` per
+    sweep to ``FINISH_STOP``.  The incumbent is always a candidate, so the
+    k-atom cost never rises.
+    """
+    peaks = top_peaks(state.grid, state.gamma, k)
+    atoms = SblState(state.grid[peaks], state.gamma[peaks], state.lam, state.dictionary[:, peaks])
+    half = FINISH_WINDOW
+    while half >= FINISH_STOP:
+        for j, u in enumerate(atoms.grid):
+            cand = np.append(np.linspace(u - half, u + half, FINE_POINTS), u)
+            cand = cand[(cand >= -1.0) & (cand < 1.0)]
+            q, s = qs_values(cand, atoms, j, r, g)
+            best = int(np.argmax(q / s))
+            atoms.grid[j] = cand[best]
+            atoms.gamma[j], _ = gamma_opt(q[best], s[best])
+            atoms.dictionary[:, j] = manifold(cand[best], g)
+        half /= FINISH_SHRINK
+    return DoaEstimate(u=atoms.grid, powers=atoms.gamma)
+
+
 def _dedupe_sorted(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     values = np.sort(values)
     if values.size == 0:
@@ -156,45 +185,35 @@ def multires_refine(
     points per peak spanning two local grid spacings per side at
     ``g_factor``-times finer resolution, re-runs SBL from scratch, and
     adjusts the peaks again.  After r rounds the local resolution is
-    ``(2/grid_size) / g_factor**r``.
+    ``(2/grid_size) / g_factor**r``.  Each round's estimate, reported to
+    ``on_round`` as ``u_hat`` and returned after the last round, is
+    ``atom_finish`` of its adjusted state; the next round starts from that
+    state, not from the estimate.
     """
     if rounds < 0 or g_factor <= 1:
         raise RefineError("rounds must be >= 0 and g_factor > 1")
     r_hat = scm(y)
     grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    state = sbl_run(g, grid, y, lam, sbl_iters)
-    state = peak_adjust(state, r_hat, g, k)
-    _emit(on_round, 0, state, r_hat, k)
-    for rnd in range(1, rounds + 1):
-        peaks = top_peaks(state.grid, state.gamma, k)
-        keep = state.gamma >= gamma_thresh
-        keep[peaks] = True
-        spacing_prev = (2.0 / grid_size) / g_factor ** (rnd - 1)
-        step = spacing_prev / g_factor
-        inserts = []
-        for i in peaks:
+    for rnd in range(rounds + 1):
+        if rnd > 0:
+            peaks = top_peaks(state.grid, state.gamma, k)
+            keep = state.gamma >= gamma_thresh
+            keep[peaks] = True
+            step = (2.0 / grid_size) / g_factor ** (rnd - 1) / g_factor
             offsets = step * np.arange(-2 * g_factor, 2 * g_factor + 1)
-            inserts.append(state.grid[i] + offsets)
-        new_grid = np.concatenate([state.grid[keep]] + inserts)
-        new_grid = _dedupe_sorted(new_grid[(new_grid >= -1.0) & (new_grid < 1.0)])
-        state = sbl_run(g, new_grid, y, state.lam, sbl_iters)
-        state = peak_adjust(state, r_hat, g, k)
-        _emit(on_round, rnd, state, r_hat, k)
-    peaks = top_peaks(state.grid, state.gamma, k)
-    return DoaEstimate(u=state.grid[peaks], powers=state.gamma[peaks])
-
-
-def _emit(on_round, rnd: int, state: SblState, r_hat: np.ndarray, k: int) -> None:
-    if on_round is None:
-        return
-    peaks = top_peaks(state.grid, state.gamma, k)
-    on_round(
-        {
-            "round": rnd,
-            "grid_size": int(state.grid.size),
-            "sbl_cost": sbl_cost(state, r_hat),
-            "sbl_iters": state.iters,
-            "sbl_cap_hit": state.capped,
-            "u_hat": np.sort(state.grid[peaks]).tolist(),
-        }
-    )
+            grid = np.concatenate([state.grid[keep]] + [state.grid[i] + offsets for i in peaks])
+            grid = _dedupe_sorted(grid[(grid >= -1.0) & (grid < 1.0)])
+        state = peak_adjust(sbl_run(g, grid, y, lam, sbl_iters), r_hat, g, k)
+        est = atom_finish(state, r_hat, g, k)
+        if on_round is not None:
+            on_round(
+                {
+                    "round": rnd,
+                    "grid_size": int(state.grid.size),
+                    "sbl_cost": sbl_cost(state, r_hat),
+                    "sbl_iters": state.iters,
+                    "sbl_cap_hit": state.capped,
+                    "u_hat": est.u.tolist(),
+                }
+            )
+    return est

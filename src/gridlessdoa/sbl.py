@@ -2,11 +2,11 @@
 
 Per-grid-point source variances gamma are fit by maximum likelihood: the
 cost ``log det(C) + tr(C^{-1} R)`` with ``C = Phi diag(gamma) Phi^H +
-lam I`` is minimized by the multi-snapshot EM fixed point (M-SBL, Wipf &
-Rao 2007), ``gamma_i = ||xhat_i||^2 / L + tau_i`` with posterior means
-``xhat = Gamma Phi^H C^{-1} Y`` and variances ``tau``.  The update touches
-the data only through R: ``gamma_i + gamma_i^2 phi_i^H K phi_i`` with the
-m x m core ``K = C^{-1} (R - C) C^{-1}`` from one Cholesky factor of C.
+lam I`` is minimized by the multi-snapshot fixed point ``gamma_i <- gamma_i
+q_i / s_i`` (M-SBL, Wipf & Rao 2007), with ``q_i = phi_i^H C^{-1} R C^{-1}
+phi_i`` and ``s_i = phi_i^H C^{-1} phi_i`` from one Cholesky factor of C.
+Where that step raises the cost the EM step ``gamma_i + gamma_i^2 (q_i -
+s_i)``, which never does, is taken instead.
 """
 
 from __future__ import annotations
@@ -71,26 +71,27 @@ def sbl_cost(state: SblState, r: np.ndarray) -> float:
     return nx.gaussian_nll(state.model_covariance(), r)
 
 
-def _em_gamma(phi, phi_h, lam_eye, gamma, r) -> np.ndarray:
-    """The EM step on arrays, with ``phi_h = Phi^H`` and ``lam_eye = lam I``."""
-    c = (phi * gamma) @ phi_h + lam_eye
-    cinv = nx.inv_from_factor(nx.chol_factor(c))
-    core = cinv @ (r - c) @ cinv
-    q_minus_s = np.einsum("gm,mg->g", phi_h, core @ phi).real
-    return np.maximum(gamma + gamma**2 * q_minus_s, 0.0)
+def qs_columns(phi: np.ndarray, cinv: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``q_i = phi_i^H C^{-1} R C^{-1} phi_i`` and ``s_i = phi_i^H C^{-1} phi_i``
+    for each column ``phi_i`` of ``phi``."""
+    a = cinv @ phi
+    return np.einsum("mg,mg->g", a.conj(), r @ a).real, np.einsum("mg,mg->g", phi.conj(), a).real
+
+
+def _em_step(gamma: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return np.maximum(gamma + gamma**2 * (q - s), 0.0)
 
 
 def sbl_em_update(state: SblState, r: np.ndarray) -> np.ndarray:
     """One EM iteration: the updated gamma from the SCM ``r``.
 
-    ``||xhat_i||^2 / L = gamma_i^2 phi_i^H C^{-1} R C^{-1} phi_i`` and
-    ``tau_i = gamma_i - gamma_i^2 phi_i^H C^{-1} phi_i`` sum to the
-    difference-core step, as ``C^{-1} C C^{-1} = C^{-1}``.  Zero entries of
-    gamma are absorbing.
+    ``||xhat_i||^2 / L = gamma_i^2 q_i`` and ``tau_i = gamma_i - gamma_i^2 s_i``
+    sum to ``gamma_i + gamma_i^2 (q_i - s_i)``.  Zero entries of gamma are
+    absorbing.
     """
     phi = state.dictionary
-    lam_eye = state.lam * np.eye(phi.shape[0])
-    return _em_gamma(phi, phi.conj().T, lam_eye, state.gamma, np.asarray(r))
+    cinv = nx.inv_pd(state.model_covariance())
+    return _em_step(state.gamma, *qs_columns(phi, cinv, np.asarray(r)))
 
 
 def sbl_run(
@@ -102,28 +103,42 @@ def sbl_run(
     tol: float = 1e-6,
     cost_trace: list[float] | None = None,
 ) -> SblState:
-    """Run EM-SBL to convergence or the iteration cap.
+    """Run fixed-point SBL, with EM as its fallback, to a cost stop or the cap.
 
-    Convergence is a relative gamma change below ``tol``.  The cost is
-    non-increasing along the trajectory (EM guarantee); pass ``cost_trace``
-    to record it per iteration.  The state records whether the cap stopped it.
+    Each iteration factors the model covariance of a trial gamma once and
+    reads the trial's cost from that factor.  An accepted trial proposes the
+    next, ``gamma * q / s``; a fixed-point trial that raised the cost is
+    rejected, uses up its iteration, and the EM step from the last accepted
+    gamma is tried next.  The run stops when an accepted trial lowers the
+    cost by less than ``tol`` times the decrease since the start (a data
+    scale shifts the cost, not its decreases).  ``iters`` counts iterations
+    and ``capped`` says the cap stopped the run; ``cost_trace`` gets each
+    iteration's accepted cost, which never rises beyond rounding.
     """
     if max_iters < 1:
         raise SblError("max_iters must be at least 1")
     state = SblState.initialize(g, grid, lam)
     r = scm(y)
-    phi, gamma = state.dictionary, state.gamma
-    phi_h, lam_eye = phi.conj().T, state.lam * np.eye(phi.shape[0])
-    if cost_trace is not None:
-        cost_trace.append(sbl_cost(state, r))
+    phi, phi_h = state.dictionary, state.dictionary.conj().T
+    lam_eye = state.lam * np.eye(phi.shape[0])
+    trial, fallback, cost = state.gamma, False, np.inf
     for it in range(1, max_iters + 1):
-        gamma_new = _em_gamma(phi, phi_h, lam_eye, gamma, r)
-        change = np.max(np.abs(gamma_new - gamma) / np.maximum(gamma, 1e-12))
-        gamma = gamma_new
+        low = nx.chol_factor((phi * trial) @ phi_h + lam_eye)
+        cinv = nx.inv_from_factor(low)
+        trial_cost = nx.logdet_from_factor(low) + float(np.vdot(cinv, r).real)
+        rejected = trial_cost > cost and not fallback
+        if not rejected:
+            drop, gamma, cost = cost - trial_cost, trial, trial_cost
+            start = cost if it == 1 else start
         if cost_trace is not None:
-            cost_trace.append(sbl_cost(state.with_gamma(gamma), r))
-        if change < tol:
+            cost_trace.append(cost)
+        if rejected:
+            trial, fallback = _em_step(gamma, q, s), True
+            continue
+        if drop < tol * (start - cost):
             return replace(state, gamma=gamma, iters=it)
+        q, s = qs_columns(phi, cinv, r)
+        trial, fallback = gamma * q / s, False
     return replace(state, gamma=gamma, iters=max_iters, capped=True)
 
 

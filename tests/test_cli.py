@@ -257,6 +257,23 @@ class TestRunExperiment:
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
         assert meta["sbl_cap_hits"] == 2  # rounds 0 and 1, both stopped at 5 iterations
 
+    def test_sbl_iters_in_meta(self, tmp_path):
+        # the meta totals SBL iterations over all trials and rounds; no CSV has them
+        cfg = parse_config(
+            BASE_CONFIG.replace("snr_sweep", "refine_arbitrary")
+            .replace("estimators = scm-music", "estimators = refine")
+            .replace("sweep.axis = snr_db", "sweep.axis = none")
+            .replace("sweep.values = 10,20\n", "")
+            + "refine.grid_size = 40\nrefine.rounds = 1\n"
+        )
+        run_experiment(cfg, tmp_path)
+        meta = json.loads((tmp_path / "tiny_meta.json").read_text())
+        rounds = [rnd for t in range(2) for rnd in run_one_trial(cfg, 0, t)["results"]["refine"]["rounds"]]
+        assert len(rounds) == 4 and meta["sbl_cap_hits"] == 0
+        assert meta["sbl_iters"] == sum(rnd["sbl_iters"] for rnd in rounds) > 4
+        for path in tmp_path.glob("*.csv"):
+            assert "sbl_iters" not in path.read_text()
+
     def test_svg_written(self, tmp_path):
         cfg = parse_config(BASE_CONFIG)
         run_experiment(cfg, tmp_path, svg=True)
@@ -342,6 +359,16 @@ class TestCliMain:
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path), "--spectrum"]) == 0
         assert len(calls) == 1
         assert (tmp_path / "tiny_spectrum.csv").exists()
+
+    def test_estimate_spectrum_refused_off_grid(self, tmp_path, capsys):
+        # the spectrum is MUSIC on the structcovmle covariance, which needs
+        # integer positions: refused before any estimator runs
+        cfg = str(resources.files("gridlessdoa") / "configs" / "fig_refine_arbitrary.cfg")
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "a"), "--spectrum"]) == 2
+        assert "--spectrum" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "fig_refine_arbitrary_estimates.csv").exists()
 
     @pytest.mark.parametrize("positions", ["0,inf", "0,nan", "0,1,x"])
     def test_bad_positions_are_config_errors(self, capsys, positions):

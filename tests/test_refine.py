@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridlessdoa import numerics as nx
 from gridlessdoa.geometry import ArrayGeometry
 from gridlessdoa.refine import (
     RefineError,
+    atom_finish,
     gamma_opt,
     multires_refine,
     peak_adjust,
@@ -133,6 +137,37 @@ class TestPeakAdjust:
             np.testing.assert_array_equal(a, b)
 
 
+def atom_cost(u, powers, lam, r, g):
+    """``gaussian_nll(C_k, R)`` of the k-atom model ``C_k = Phi diag(p) Phi^H + lam I``."""
+    phi = manifold(np.asarray(u), g)
+    return nx.gaussian_nll((phi * powers) @ phi.conj().T + lam * np.eye(g.m), r)
+
+
+class TestAtomFinish:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(0.3, 3.0), min_size=1, max_size=5),  # sensor gaps
+        st.integers(5, 80),                                      # grid size
+        st.integers(1, 60),                                      # snapshots
+        st.floats(-1.3, 0.7).map(lambda e: 10.0**e),             # lam
+        st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3, unique=True).map(sorted),
+        st.floats(-5.0, 20.0),                                   # SNR in dB
+        st.integers(1, 3),                                       # k
+        st.integers(0, 2**32 - 1),
+    )
+    def test_k_atom_cost_never_rises(self, gaps, grid_size, n_snap, lam, u, snr_db, k, seed):
+        g = ArrayGeometry((0.0,) + tuple(np.cumsum(gaps).tolist()))
+        grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
+        y = simulate(SourceScene.from_snr(tuple(u), snr_db), g, n_snap, seed=seed)
+        r = scm(y)
+        state = sbl_run(g, grid, y, lam, max_iters=30)
+        peaks = top_peaks(state.grid, state.gamma, k)
+        before = atom_cost(state.grid[peaks], state.gamma[peaks], lam, r, g)
+        est = atom_finish(state, r, g, k)
+        assert est.k == k
+        assert atom_cost(est.u, est.powers, lam, r, g) <= before + 1e-9 * abs(before)
+
+
 class TestMultiresRefine:
     def test_zero_rounds_semantics(self):
         g = OFFGRID
@@ -144,27 +179,23 @@ class TestMultiresRefine:
         )
         assert len(logs) == 1 and logs[0]["round"] == 0
         assert est.k == 2
-        assert (logs[0]["sbl_iters"], logs[0]["sbl_cap_hit"]) == (400, True)
+        assert logs[0]["sbl_cap_hit"] is False and logs[0]["sbl_iters"] < 400
 
     def test_refinement_improves_on_plain_grid(self):
         g = OFFGRID
         scene = SourceScene.from_snr((-0.54, 0.4802), 20.0)
         truth = np.array(scene.u)
         y = simulate(scene, g, 500, seed=42)
-        logs: list[dict] = []
-        est = multires_refine(
-            y, g, 2, lam=1.0, grid_size=150, g_factor=3, rounds=4, sbl_iters=2000,
-            on_round=logs.append,
-        )
-        first = np.abs(np.sort(np.array(logs[0]["u_hat"])) - truth).max()
+        est = multires_refine(y, g, 2, lam=1.0, grid_size=150, g_factor=3, rounds=4, sbl_iters=2000)
+        plain = sbl_run(g, -1.0 + 2.0 * np.arange(150) / 150, y, lam=1.0, max_iters=2000)
+        first = np.abs(np.sort(plain.grid[top_peaks(plain.grid, plain.gamma, 2)]) - truth).max()
         final = np.abs(est.u - truth).max()
         assert final < first
         assert final < 5e-4
 
     def test_grid_size_bounded_and_resolution_schedule(self):
-        # the grid-size bound relies on the full SBL iteration budget: the
-        # noise-floor gammas decay harmonically and need the iterations to
-        # fall below the pruning threshold
+        # the grid-size bound relies on SBL driving the noise-floor gammas
+        # below the pruning threshold before it stops
         g = OFFGRID
         scene = SourceScene.from_snr((-0.54, 0.4802), 20.0)
         y = simulate(scene, g, 500, seed=9)

@@ -31,24 +31,40 @@ def em_step_from_snapshots(state, y):
     return (np.abs(means) ** 2).sum(axis=1) / y.n_snapshots + np.maximum(tau, 0.0)
 
 
+def q_s(state, r):
+    """``q`` and ``s`` of every grid point from ``C^{-1} Phi``, one einsum each."""
+    phi = state.dictionary
+    ci_phi = nx.inv_from_factor(nx.chol_factor(state.model_covariance())) @ phi
+    s_diag = np.real(np.einsum("mg,mg->g", phi.conj(), ci_phi))
+    q_diag = np.real(np.einsum("mg,mg->g", ci_phi.conj(), r @ ci_phi))
+    return q_diag, s_diag
+
+
 def reference_run(g, grid, y, lam, max_iters, tol, cost_trace):
     """``sbl_run`` as a per-iteration loop over validated states: a new
-    ``SblState`` per iteration and the EM step from ``C^{-1} Phi`` with one
-    einsum each for ``s`` and ``q``."""
-    state = SblState.initialize(g, grid, lam)
+    ``SblState`` per trial and its cost from ``sbl_cost``.  A fixed-point
+    trial ``gamma q / s`` that raises the cost is rejected, and the EM step
+    from the last accepted state is tried next; the run stops when an
+    accepted trial lowers the cost by less than ``tol`` times the decrease
+    since the start."""
     r = scm(y)
-    cost_trace.append(sbl_cost(state, r))
+    state = trial = SblState.initialize(g, grid, lam)
+    cost, start, em_next = np.inf, None, False
     for it in range(1, max_iters + 1):
-        phi, gamma = state.dictionary, state.gamma
-        ci_phi = nx.inv_from_factor(nx.chol_factor(state.model_covariance())) @ phi
-        s_diag = np.real(np.einsum("mg,mg->g", phi.conj(), ci_phi))
-        q_diag = np.real(np.einsum("mg,mg->g", ci_phi.conj(), r @ ci_phi))
-        gamma_new = np.maximum(gamma**2 * q_diag + gamma - gamma**2 * s_diag, 0.0)
-        change = np.max(np.abs(gamma_new - gamma) / np.maximum(gamma, 1e-12))
-        state = state.with_gamma(gamma_new)
-        cost_trace.append(sbl_cost(state, r))
-        if change < tol:
+        trial_cost = sbl_cost(trial, r)
+        if trial_cost > cost and not em_next:
+            cost_trace.append(cost)
+            q, s = q_s(state, r)
+            trial = state.with_gamma(np.maximum(state.gamma + state.gamma**2 * (q - s), 0.0))
+            em_next = True
+            continue
+        drop, state, cost, em_next = cost - trial_cost, trial, trial_cost, False
+        start = cost if start is None else start
+        cost_trace.append(cost)
+        if drop < tol * (start - cost):
             return state, it, False
+        q, s = q_s(state, r)
+        trial = state.with_gamma(state.gamma * q / s)
     return state, max_iters, True
 
 
@@ -149,15 +165,24 @@ class TestSblRun:
         assert grid[int(np.argmax(state.gamma))] == pytest.approx(-0.5, abs=1e-12)
 
     def test_zero_snapshots_drive_gamma_down(self):
-        # with no signal the update is gamma' = gamma - gamma^2 s, a harmonic
-        # decay to the zero fixed point
+        # with no signal the EM step is gamma' = gamma - gamma^2 s, a harmonic
+        # decay to the zero fixed point; the fixed-point step gamma q / s
+        # reaches it in one step, as q = 0
         g = ArrayGeometry.ula(4)
         grid = np.linspace(-1, 0.9, 12)
         y = SnapshotMatrix(data=np.zeros((4, 3), dtype=complex))
-        state = sbl_run(g, grid, y, lam=1.0, max_iters=200, tol=0.0)
+        r = scm(y)
+        state = SblState.initialize(g, grid, 1.0)
+        for _ in range(200):
+            state = state.with_gamma(sbl_em_update(state, r))
         assert np.all(state.gamma < 5e-3)
-        longer = sbl_run(g, grid, y, lam=1.0, max_iters=2000, tol=0.0)
+        longer = state
+        for _ in range(1800):
+            longer = longer.with_gamma(sbl_em_update(longer, r))
         assert np.all(longer.gamma < state.gamma)
+        run = sbl_run(g, grid, y, lam=1.0, max_iters=200)
+        assert np.all(run.gamma == 0.0)
+        assert not run.capped and run.iters < 200
 
     def test_cost_monotone(self):
         g = ArrayGeometry((0, 1, 2, 3, 7, 11))
@@ -200,12 +225,54 @@ class TestSblRun:
         y = SnapshotMatrix(data=np.zeros((4, 3), dtype=complex))
         capped = sbl_run(g, grid, y, lam=1.0, max_iters=7, tol=0.0)
         assert (capped.iters, capped.capped) == (7, True)
-        # any relative change is below an infinite tolerance: stop after one
+        # one iteration is one factorization: the first evaluates the start,
+        # and the drop at the second is below an infinite tolerance
         done = sbl_run(g, grid, y, lam=1.0, max_iters=7, tol=np.inf)
-        assert (done.iters, done.capped) == (1, False)
+        assert (done.iters, done.capped) == (2, False)
         np.testing.assert_array_equal(
-            done.gamma, sbl_run(g, grid, y, lam=1.0, max_iters=1, tol=0.0).gamma
+            done.gamma, sbl_run(g, grid, y, lam=1.0, max_iters=2, tol=0.0).gamma
         )
+
+    def test_one_factorization_per_iteration(self, monkeypatch):
+        # the benchmark counts SBL iterations as chol_factor calls; the third
+        # factorization here is of a blown-up covariance, so its trial's cost
+        # rises and the trial is rejected
+        g = ArrayGeometry((0, 1, 2, 3, 7, 11))
+        grid = np.linspace(-1, 1, 101)[:-1]
+        y = simulate(SourceScene.from_snr((-0.42, 0.13), 10.0), g, 64, seed=9)
+        real = nx.chol_factor
+
+        def count_calls(blow_up_call):
+            calls: list[np.ndarray] = []
+
+            def chol(a):
+                calls.append(a)
+                return real(1e6 * a if len(calls) == blow_up_call else a)
+
+            monkeypatch.setattr(nx, "chol_factor", chol)
+            return calls
+
+        calls = count_calls(None)
+        capped = sbl_run(g, grid, y, lam=1.0, max_iters=25, tol=0.0)
+        assert capped.capped and len(calls) == capped.iters == 25
+        calls = count_calls(3)
+        costs: list[float] = []
+        run = sbl_run(g, grid, y, lam=1.0, max_iters=1000, cost_trace=costs)
+        assert costs[2] == costs[1] and costs[3] < costs[1]  # rejected, then the EM step
+        assert not run.capped and len(calls) == run.iters == len(costs)
+
+    def test_converged_run_is_stationary(self):
+        # a stationary point of the SBL cost has q_i = s_i where gamma_i > 0
+        # and q_i <= s_i where gamma_i = 0
+        g = ArrayGeometry((0, 1, 2, 3, 7, 11))
+        grid = -1.0 + 2.0 * np.arange(100) / 100
+        y = simulate(SourceScene.from_snr((-0.42, 0.13), 10.0), g, 64, seed=9)
+        state = sbl_run(g, grid, y, lam=1.0, max_iters=5000, tol=1e-6)
+        assert not state.capped
+        q, s = q_s(state, scm(y))
+        active = state.gamma > 1e-3 * state.gamma.max()
+        assert np.abs(q[active] / s[active] - 1.0).max() < 1e-4
+        assert (q / s).max() < 1.03
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(random_problems, st.sampled_from([0.0, 1e-6, 1e-2]))
