@@ -28,7 +28,7 @@ class RefineError(Exception):
     pass
 
 
-# peak_adjust: candidate directions per peak neighborhood, and its sweep cap.
+# _move_atom: candidate directions per window; peak_adjust: its sweep cap.
 FINE_POINTS = 101
 MAX_SWEEPS = 30
 # atom_finish: first half-window in u, its shrink per sweep, last half-window.
@@ -60,21 +60,35 @@ def qs_values(
     return q, s
 
 
-def gamma_opt(q, s):
-    """Closed-form per-point variance and its likelihood contribution.
+def gamma_opt(q: float, s: float) -> float:
+    """Closed-form per-point variance: ``(q - s)/s^2`` when q > s, else 0.
 
-    ``gamma = (q - s)/s^2`` when q > s else 0, and the objective value
-    ``L = log(q/s) - q/s + 1`` (nonpositive, zero iff q <= s).
+    It minimizes the SBL cost over one point's variance, all else fixed.
     """
-    q = np.asarray(q, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    active = q > s
-    gam = np.where(active, (q - s) / np.maximum(s, 1e-300) ** 2, 0.0)
-    ratio = np.where(active, q / np.maximum(s, 1e-300), 1.0)
-    lval = np.where(active, np.log(ratio) - ratio + 1.0, 0.0)
-    if gam.ndim == 0:
-        return float(gam), float(lval)
-    return gam, lval
+    return float((q - s) / max(s, 1e-300) ** 2) if q > s else 0.0
+
+
+def _move_atom(state: SblState, j: int, half: float, r: np.ndarray, g: ArrayGeometry) -> float:
+    """Move point j of ``state`` in place to its best direction; returns how far.
+
+    The candidates are ``FINE_POINTS`` directions over ``[u - half, u + half]``
+    and the incumbent u, clipped to [-1, 1).  The one with the largest q/s
+    takes the point, its ``gamma_opt`` power and its dictionary column; with
+    q <= s on the whole window the power is 0.  That is the sequential update
+    of Tipping & Faul (2003): the incumbent is a candidate and the power is
+    the exact 1-D minimizer, so the SBL cost never rises.  The incumbent comes
+    last, so a tie in q/s (flat to rounding in narrow windows) goes to the
+    scan.
+    """
+    u = state.grid[j]
+    cand = np.append(np.linspace(u - half, u + half, FINE_POINTS), u)
+    cand = cand[(cand >= -1.0) & (cand < 1.0)]
+    q, s = qs_values(cand, state, j, r, g)
+    best = int(np.argmax(q / s))
+    state.grid[j] = cand[best]
+    state.gamma[j] = gamma_opt(q[best], s[best])
+    state.dictionary[:, j] = manifold(cand[best], g)
+    return abs(cand[best] - u)
 
 
 def _neighbor_delta(grid: np.ndarray, i: int) -> float:
@@ -91,41 +105,20 @@ def _neighbor_delta(grid: np.ndarray, i: int) -> float:
 def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> SblState:
     """Sequentially re-optimize the top-k peaks' grid points in (gamma, u).
 
-    For each peak, ``FINE_POINTS`` candidates over the neighborhood (bounded
-    away from the adjacent grid points) score the ratio q/s; the maximizer
-    with q > s replaces the point with its closed-form optimal gamma.  The
-    incumbent point is always in the candidate set, so the SBL cost never
-    increases.  Sweeps repeat, at most ``MAX_SWEEPS`` times, until no peak
-    moves more than 1e-9.  The input state is not modified; SBL run counts
-    carry over.
+    Each sweep applies ``_move_atom`` to every peak over its neighborhood,
+    bounded away from the adjacent grid points, so the grid stays sorted and
+    the SBL cost never increases.  Sweeps repeat, at most ``MAX_SWEEPS``
+    times, until no peak moves more than 1e-9.  The input state is not
+    modified; SBL run counts carry over.
     """
     if k < 1:
         raise RefineError("need at least one peak")
     work = replace(
         state, grid=state.grid.copy(), gamma=state.gamma.copy(), dictionary=state.dictionary.copy()
     )
-    grid, gamma = work.grid, work.gamma
-    peaks = top_peaks(grid, gamma, k)
+    peaks = top_peaks(work.grid, work.gamma, k)
     for _ in range(MAX_SWEEPS):
-        moved = 0.0
-        for i in peaks:
-            delta = _neighbor_delta(grid, i)
-            cand = np.linspace(grid[i] - delta, grid[i] + delta, FINE_POINTS)
-            cand = cand[(cand >= -1.0) & (cand < 1.0)]
-            if cand.size == 0 or not np.any(np.isclose(cand, grid[i], atol=1e-15)):
-                cand = np.append(cand, grid[i])
-            q, s = qs_values(cand, work, i, r, g)
-            active = q > s
-            if not np.any(active):
-                continue
-            ratio = np.where(active, q / s, -np.inf)
-            j = int(np.argmax(ratio))
-            gam_new, _ = gamma_opt(q[j], s[j])
-            moved = max(moved, abs(cand[j] - grid[i]))
-            grid[i] = cand[j]
-            gamma[i] = gam_new
-            work.dictionary[:, i] = manifold(cand[j], g)
-        if moved <= 1e-9:
+        if max(_move_atom(work, i, _neighbor_delta(work.grid, i), r, g) for i in peaks) <= 1e-9:
             break
     return work
 
@@ -134,24 +127,16 @@ def atom_finish(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> Doa
     """The k-source estimate of an SBL state: its top-k peak atoms, with the
     rest of the grid dropped and ``lam`` kept, refined on the k-atom likelihood.
 
-    Each sweep moves every atom in turn to the best q/s of ``FINE_POINTS``
-    candidates over a window around it, with its power from ``gamma_opt``;
-    the half-window shrinks from ``FINISH_WINDOW`` by ``FINISH_SHRINK`` per
-    sweep to ``FINISH_STOP``.  The incumbent is always a candidate, so the
-    k-atom cost never rises.
+    Each sweep applies ``_move_atom`` to every atom in turn; the half-window
+    shrinks from ``FINISH_WINDOW`` by ``FINISH_SHRINK`` per sweep to
+    ``FINISH_STOP``.  The k-atom cost never rises.
     """
     peaks = top_peaks(state.grid, state.gamma, k)
     atoms = SblState(state.grid[peaks], state.gamma[peaks], state.lam, state.dictionary[:, peaks])
     half = FINISH_WINDOW
     while half >= FINISH_STOP:
-        for j, u in enumerate(atoms.grid):
-            cand = np.append(np.linspace(u - half, u + half, FINE_POINTS), u)
-            cand = cand[(cand >= -1.0) & (cand < 1.0)]
-            q, s = qs_values(cand, atoms, j, r, g)
-            best = int(np.argmax(q / s))
-            atoms.grid[j] = cand[best]
-            atoms.gamma[j], _ = gamma_opt(q[best], s[best])
-            atoms.dictionary[:, j] = manifold(cand[best], g)
+        for j in range(atoms.grid.size):
+            _move_atom(atoms, j, half, r, g)
         half /= FINISH_SHRINK
     return DoaEstimate(u=atoms.grid, powers=atoms.gamma)
 

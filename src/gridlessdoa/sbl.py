@@ -6,7 +6,8 @@ lam I`` is minimized by the multi-snapshot fixed point ``gamma_i <- gamma_i
 q_i / s_i`` (M-SBL, Wipf & Rao 2007), with ``q_i = phi_i^H C^{-1} R C^{-1}
 phi_i`` and ``s_i = phi_i^H C^{-1} phi_i`` from one Cholesky factor of C.
 Where that step raises the cost the EM step ``gamma_i + gamma_i^2 (q_i -
-s_i)``, which never does, is taken instead.
+s_i)``, which never does beyond rounding, is taken instead; a run ends where
+that one raises it too.
 """
 
 from __future__ import annotations
@@ -111,9 +112,11 @@ def sbl_run(
     rejected, uses up its iteration, and the EM step from the last accepted
     gamma is tried next.  The run stops when an accepted trial lowers the
     cost by less than ``tol`` times the decrease since the start (a data
-    scale shifts the cost, not its decreases).  ``iters`` counts iterations
-    and ``capped`` says the cap stopped the run; ``cost_trace`` gets each
-    iteration's accepted cost, which never rises beyond rounding.
+    scale shifts the cost, not its decreases), or when the EM trial raised
+    it too, which only rounding in the cost can do.  Either way it returns
+    the last accepted gamma.  ``iters`` counts iterations and ``capped`` says
+    the cap stopped the run; ``cost_trace`` gets each iteration's accepted
+    cost, which never rises.
     """
     if max_iters < 1:
         raise SblError("max_iters must be at least 1")
@@ -126,12 +129,14 @@ def sbl_run(
         low = nx.chol_factor((phi * trial) @ phi_h + lam_eye)
         cinv = nx.inv_from_factor(low)
         trial_cost = nx.logdet_from_factor(low) + float(np.vdot(cinv, r).real)
-        rejected = trial_cost > cost and not fallback
+        rejected = trial_cost > cost
         if not rejected:
             drop, gamma, cost = cost - trial_cost, trial, trial_cost
             start = cost if it == 1 else start
         if cost_trace is not None:
             cost_trace.append(cost)
+        if rejected and fallback:
+            return replace(state, gamma=gamma, iters=it)
         if rejected:
             trial, fallback = _em_step(gamma, q, s), True
             continue

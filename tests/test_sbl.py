@@ -44,7 +44,8 @@ def reference_run(g, grid, y, lam, max_iters, tol, cost_trace):
     """``sbl_run`` as a per-iteration loop over validated states: a new
     ``SblState`` per trial and its cost from ``sbl_cost``.  A fixed-point
     trial ``gamma q / s`` that raises the cost is rejected, and the EM step
-    from the last accepted state is tried next; the run stops when an
+    from the last accepted state is tried next; the run stops at the last
+    accepted state when that EM trial raises the cost too, or when an
     accepted trial lowers the cost by less than ``tol`` times the decrease
     since the start."""
     r = scm(y)
@@ -52,7 +53,10 @@ def reference_run(g, grid, y, lam, max_iters, tol, cost_trace):
     cost, start, em_next = np.inf, None, False
     for it in range(1, max_iters + 1):
         trial_cost = sbl_cost(trial, r)
-        if trial_cost > cost and not em_next:
+        if trial_cost > cost and em_next:
+            cost_trace.append(cost)
+            return state, it, False
+        if trial_cost > cost:
             cost_trace.append(cost)
             q, s = q_s(state, r)
             trial = state.with_gamma(np.maximum(state.gamma + state.gamma**2 * (q - s), 0.0))
@@ -81,6 +85,19 @@ random_problems = st.tuples(
     st.floats(-1.3, 0.7).map(lambda e: 10.0**e),     # lam
     st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3, unique=True).map(sorted),
     st.floats(-5.0, 20.0),                           # SNR in dB
+    st.integers(0, 2**32 - 1),
+)
+
+
+# Few sensors, a handful of grid points, tiny lam and loud snapshots: the
+# model covariance is ill-conditioned enough that rounding in the cost can
+# make the EM step, which never raises the cost exactly, appear to raise it.
+ill_conditioned_problems = st.tuples(
+    st.lists(st.floats(0.3, 3.0), min_size=1, max_size=4),  # sensor gaps
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=7),  # grid
+    st.floats(-5.0, 1.0).map(lambda e: 10.0**e),             # lam
+    st.integers(1, 5),                                       # snapshots
+    st.floats(0.0, 3.0).map(lambda e: 10.0**e),              # amplitude
     st.integers(0, 2**32 - 1),
 )
 
@@ -293,6 +310,19 @@ class TestSblRun:
         costs: list[float] = []
         sbl_run(g, grid, y, lam, max_iters=100, tol=0.0, cost_trace=costs)
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ill_conditioned_problems)
+    def test_returns_the_least_cost_state(self, problem):
+        gaps, grid, lam, n_snap, amp, seed = problem
+        g = ArrayGeometry((0.0,) + tuple(np.cumsum(gaps).tolist()))
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((g.m, n_snap)) + 1j * rng.standard_normal((g.m, n_snap))
+        y = SnapshotMatrix(data=amp * noise)
+        costs: list[float] = []
+        state = sbl_run(g, np.array(grid), y, lam, cost_trace=costs)
+        assert all(b <= a + 1e-9 * abs(a) for a, b in zip(costs, costs[1:]))
+        assert sbl_cost(state, scm(y)) == pytest.approx(min(costs), rel=1e-12)
 
     def test_validation(self):
         g = ArrayGeometry.ula(3)
