@@ -18,6 +18,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -343,8 +344,7 @@ def run_estimator(
     """Dispatch one estimator; records solver cost traces in diagnostics.
 
     ``refine`` is grid SBL.  Any other estimator's covariance is computed
-    once, kept in ``diagnostics["covariance"]`` and read by root-MUSIC; for
-    ``single_snapshot`` its MUSIC spectrum goes to ``diagnostics["spectrum"]``.
+    once, kept in ``diagnostics["covariance"]`` and read by root-MUSIC.
     """
     if name == "refine":
         rounds: list[dict] = []
@@ -363,10 +363,7 @@ def run_estimator(
         diagnostics["rounds"] = rounds
         return est
     cov = diagnostics["covariance"] = covariance_estimate(name, y, cfg, diagnostics)
-    est = root_music(cov, cfg.k)
-    if cfg.kind == "single_snapshot":
-        diagnostics["spectrum"] = music_spectrum(cov, cfg.k, spectrum_grid(cfg)).tolist()
-    return est
+    return root_music(cov, cfg.k)
 
 
 def _record_solver(record: dict, diagnostics: dict) -> None:
@@ -388,7 +385,11 @@ DATA_ERRORS = (
 
 
 def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
-    """One (axis value, trial) cell: simulate once, run every estimator."""
+    """One (axis value, trial) cell: simulate once, run every estimator.
+
+    Each estimate is scored here, once; a ``single_snapshot`` trial that
+    scored also keeps its covariance's MUSIC spectrum.
+    """
     scene, n_snap = axis_scene(cfg, axis_index)
     y = simulate(scene, cfg.geometry, n_snap, seed=cfg.seed, trial=axis_index * 1_000_000 + trial)
     out: dict = {"axis_index": axis_index, "trial": trial, "results": {}}
@@ -397,19 +398,20 @@ def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
         start = time.perf_counter()
         try:
             est = run_estimator(name, y, cfg, diagnostics)
-            errors = assign_errors(est, scene)
             record = {
                 "u_hat": est.u.tolist(),
-                "errors": errors.tolist(),
+                "errors": assign_errors(est, scene).tolist(),
                 "failed": False,
             }
+            if cfg.kind == "single_snapshot":
+                spectrum = music_spectrum(diagnostics["covariance"], cfg.k, spectrum_grid(cfg))
+                record["spectrum"] = spectrum.tolist()
         except DATA_ERRORS as exc:
             record = {"u_hat": [], "errors": [], "failed": True, "message": str(exc)}
         record["runtime_s"] = time.perf_counter() - start
         _record_solver(record, diagnostics)
-        for key in ("rounds", "spectrum"):
-            if key in diagnostics:
-                record[key] = diagnostics[key]
+        if "rounds" in diagnostics:
+            record["rounds"] = diagnostics["rounds"]
         out["results"][name] = record
     return out
 
@@ -486,9 +488,7 @@ def _run_cells(cfg: ExperimentConfig, jobs: int) -> list[dict]:
         return [run_one_trial(cfg, a, t) for a, t in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_one_trial, cfg, a, t) for a, t in cells]
-        results = [f.result() for f in futures]
-    results.sort(key=lambda r: (r["axis_index"], r["trial"]))
-    return results
+        return [f.result() for f in futures]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = False) -> dict:
@@ -496,12 +496,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
 
     Every kind writes ``<prefix>_summary.csv`` (axis, estimator, rmse,
     per-source bias, crb, trials, success rate), ``<prefix>_trials.csv``
-    (per-trial directions and errors) and ``<prefix>_meta.json`` (timing and
-    solver diagnostics; kept out of the CSVs so re-runs are byte-identical).
-    Trials that kept MUSIC spectra (``single_snapshot``) add one
-    ``<prefix>_<estimator>_spectrum.csv`` each, with a ``nan`` column for a
-    failed trial; a run of ``refine`` adds ``<prefix>_rounds.csv``.  ``svg``
-    adds an RMSE plot.
+    (per-trial directions and errors) and ``<prefix>_meta.json`` (timing,
+    solver diagnostics and failure messages; kept out of the CSVs so re-runs
+    are byte-identical).  The summary scores the errors stored in the trial
+    records.  ``single_snapshot`` adds one ``<prefix>_<estimator>_spectrum.csv``
+    each, with a ``nan`` column for a failed trial; a run of ``refine`` adds
+    ``<prefix>_rounds.csv``.  ``svg`` adds an RMSE plot.
     """
     os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, cfg.out_prefix)
@@ -518,18 +518,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         cell_results = [r for r in results if r["axis_index"] == a]
         for name in cfg.estimators:
             recs = [r["results"][name] for r in cell_results]
-            good = [
-                DoaEstimate(u=np.asarray(rec["u_hat"]))
-                for rec in recs
-                if not rec["failed"] and len(rec["u_hat"]) == scene.k
-            ]
-            rmse = rmse_u(good, scene) if good else math.nan
-            biases = [empirical_bias(good, scene, j) if good else math.nan for j in range(scene.k)]
-            hit = success_rate(good, scene) if good else math.nan
+            good = [rec["errors"] for rec in recs if not rec["failed"]]
+            if good:
+                errors = np.array(good)
+                rmse, hit = rmse_u(errors), success_rate(errors, scene)
+                biases = empirical_bias(errors)
+            else:
+                rmse, biases, hit = math.nan, [math.nan] * scene.k, math.nan
             summary_rows.append([axis_value, name, rmse] + biases + [crb, len(good), hit])
+            messages = [rec["message"] for rec in recs if rec["failed"]]
             meta_cells[f"{axis_value}/{name}"] = {
                 "wallclock_ms": 1e3 * float(np.sum([rec["runtime_s"] for rec in recs])),
-                "failures": int(sum(rec["failed"] for rec in recs)),
+                "failures": len(messages),
+                "failure_messages": dict(Counter(messages)),
             }
             xs, ys = series.setdefault(name, ([], []))
             xs.append(axis_value)
@@ -552,7 +553,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         trial_rows,
     )
     records = [rec for r in results for rec in r["results"].values()]
-    if any("spectrum" in rec for rec in records):
+    if cfg.kind == "single_snapshot":
         _write_spectra(cfg, results, prefix)
     if "refine" in cfg.estimators:
         _write_round_table(cfg, results, prefix)

@@ -30,23 +30,23 @@ def assign_errors(estimate: DoaEstimate, truth: SourceScene) -> np.ndarray:
     return estimate.u - np.asarray(truth.u)
 
 
-def rmse_u(estimates: list[DoaEstimate], truth: SourceScene) -> float:
-    """Root mean squared u-space error over trials and sources."""
-    if not estimates:
-        raise MetricsError("need at least one estimate")
-    sq = [assign_errors(e, truth) ** 2 for e in estimates]
-    return float(np.sqrt(np.mean(np.concatenate(sq))))
+def rmse_u(errors: np.ndarray) -> float:
+    """Root mean squared u-space error over trials (rows) and sources (columns)."""
+    if errors.size == 0:
+        raise MetricsError("need at least one trial")
+    return float(np.sqrt(np.mean(errors**2)))
 
 
-def empirical_bias(estimates: list[DoaEstimate], truth: SourceScene, source: int) -> float:
-    """Mean signed error of one source across trials."""
-    if not estimates:
-        raise MetricsError("need at least one estimate")
-    return float(np.mean([assign_errors(e, truth)[source] for e in estimates]))
+def empirical_bias(errors: np.ndarray) -> list[float]:
+    """Mean signed error of each source (column of ``errors``) across trials."""
+    if errors.size == 0:
+        raise MetricsError("need at least one trial")
+    return [float(np.mean(errors[:, j])) for j in range(errors.shape[1])]
 
 
-def success_rate(estimates: list[DoaEstimate], truth: SourceScene) -> float:
-    """Fraction of trials where every source error stays inside half its gap.
+def success_rate(errors: np.ndarray, truth: SourceScene) -> float:
+    """Fraction of trials (rows of ``errors``) where every source error stays
+    inside half its gap.
 
     Edge sources get the single adjacent gap mirrored.  This is the capped
     identification criterion used for phase-transition style studies.
@@ -59,8 +59,7 @@ def success_rate(estimates: list[DoaEstimate], truth: SourceScene) -> float:
         left = np.concatenate([[gaps[0]], gaps])
         right = np.concatenate([gaps, [gaps[-1]]])
         caps = 0.5 * np.minimum(left, right)
-    hits = [np.all(np.abs(assign_errors(e, truth)) < caps) for e in estimates]
-    return float(np.mean(hits))
+    return float(np.mean(np.all(np.abs(errors) < caps, axis=1)))
 
 
 def crb_stochastic(scene: SourceScene, g: ArrayGeometry, n_snapshots: int) -> np.ndarray:

@@ -38,7 +38,7 @@ FINISH_STOP = 1e-10
 
 
 def qs_values(
-    u,
+    u: np.ndarray,
     state: SblState,
     exclude: int,
     r: np.ndarray,
@@ -48,16 +48,12 @@ def qs_values(
 
     ``q(u) = phi^H C_{-i}^{-1} R C_{-i}^{-1} phi`` and
     ``s(u) = phi^H C_{-i}^{-1} phi``; s is positive for lam > 0 and q is
-    nonnegative for PSD R.  Scalar u gives scalar outputs.
+    nonnegative for PSD R.  ``u`` is an array of directions.
     """
     gamma = state.gamma.copy()
     gamma[exclude] = 0.0
     cinv = nx.inv_pd(state.with_gamma(gamma).model_covariance())
-    phi = manifold(np.atleast_1d(np.asarray(u, dtype=np.float64)), g)
-    q, s = qs_columns(phi, cinv, np.asarray(r, dtype=np.complex128))
-    if np.ndim(u) == 0:
-        return float(q[0]), float(s[0])
-    return q, s
+    return qs_columns(manifold(u, g), cinv, np.asarray(r, dtype=np.complex128))
 
 
 def gamma_opt(q: float, s: float) -> float:

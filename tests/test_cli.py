@@ -220,6 +220,14 @@ class TestRunExperiment:
         assert all(row.split(",")[1:] == ["nan", "nan"] for row in failed)
         ok = (tmp_path / "tiny_scm_music_spectrum.csv").read_text().splitlines()[1:]
         assert all("nan" not in row for row in ok)
+        # one estimate for two sources fails scoring in every trial: the
+        # spectrum files are still written, with only nan columns
+        monkeypatch.undo()
+        out = tmp_path / "unscored"
+        run_experiment(dataclasses.replace(parse_config(SPECTRUM_CONFIG), k=1), out)
+        for name in ("scm_music", "fb_music"):
+            rows = (out / f"tiny_{name}_spectrum.csv").read_text().splitlines()[1:]
+            assert len(rows) == 32 and all(row.split(",")[1:] == ["nan", "nan"] for row in rows)
 
     def test_bug_in_estimator_propagates(self, tmp_path, monkeypatch, capsys):
         # only data errors mark a trial failed; a TypeError is a bug
@@ -243,6 +251,10 @@ class TestRunExperiment:
         assert rows and all("failed" in row for row in rows)
         summary = (tmp_path / "tiny_summary.csv").read_text().splitlines()[1:]
         assert all(",nan," in row for row in summary)
+        # the reason reaches the meta, counted per cell
+        cells = json.loads((tmp_path / "tiny_meta.json").read_text())["cells"]
+        for cell in cells.values():
+            assert cell["failure_messages"] == {"need k < order, got k=4, order=4": 2}
 
     def test_sbl_cap_hits_in_meta(self, tmp_path):
         cfg = parse_config(

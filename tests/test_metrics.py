@@ -11,6 +11,7 @@ from gridlessdoa.experiments import axis_scene, parse_config
 from gridlessdoa.geometry import ArrayGeometry, toeplitz_embed
 from gridlessdoa.metrics import (
     MetricsError,
+    assign_errors,
     crb_rmse,
     crb_stochastic,
     empirical_bias,
@@ -25,51 +26,56 @@ def est(*u):
     return DoaEstimate(u=np.asarray(u, dtype=float))
 
 
+def errs(scene, *estimates):
+    """One row of assign_errors per trial, as a sweep's records hold them."""
+    return np.array([assign_errors(e, scene) for e in estimates])
+
+
 class TestRmse:
     def test_perfect(self):
         scene = SourceScene((-0.5, 0.5), (1.0, 1.0))
-        assert rmse_u([est(-0.5, 0.5)], scene) == 0.0
+        assert rmse_u(errs(scene, est(-0.5, 0.5))) == 0.0
 
     def test_single_error(self):
         scene = SourceScene((0.2,), (1.0,))
-        assert rmse_u([est(0.21)], scene) == pytest.approx(0.01)
+        assert rmse_u(errs(scene, est(0.21))) == pytest.approx(0.01)
 
     def test_two_trial_formula(self):
         # sqrt((0 + 0 + 4e-4 + 4e-4) / 4) = 0.014142...
         scene = SourceScene((-0.5, 0.5), (1.0, 1.0))
-        trials = [est(-0.5, 0.5), est(-0.48, 0.52)]
-        assert rmse_u(trials, scene) == pytest.approx(np.sqrt(2e-4), abs=1e-12)
-        assert rmse_u(trials, scene) == pytest.approx(0.014142135623730951, abs=1e-12)
+        trials = errs(scene, est(-0.5, 0.5), est(-0.48, 0.52))
+        assert rmse_u(trials) == pytest.approx(np.sqrt(2e-4), abs=1e-12)
+        assert rmse_u(trials) == pytest.approx(0.014142135623730951, abs=1e-12)
 
     def test_order_invariance(self):
         # DoaEstimate sorts on construction, so the assignment cannot depend
         # on the order estimates were produced in
         scene = SourceScene((-0.5, 0.5), (1.0, 1.0))
-        a = rmse_u([DoaEstimate(u=np.array([0.51, -0.52]))], scene)
-        b = rmse_u([DoaEstimate(u=np.array([-0.52, 0.51]))], scene)
+        a = rmse_u(errs(scene, DoaEstimate(u=np.array([0.51, -0.52]))))
+        b = rmse_u(errs(scene, DoaEstimate(u=np.array([-0.52, 0.51]))))
         assert a == b
 
     def test_count_mismatch(self):
         scene = SourceScene((-0.5, 0.5), (1.0, 1.0))
         with pytest.raises(MetricsError):
-            rmse_u([est(0.0)], scene)
+            assign_errors(est(0.0), scene)
 
 
 class TestBias:
     def test_symmetric_errors_cancel(self):
         scene = SourceScene((0.0,), (1.0,))
-        assert empirical_bias([est(0.01), est(-0.01)], scene, 0) == pytest.approx(0.0)
+        assert empirical_bias(errs(scene, est(0.01), est(-0.01))) == pytest.approx([0.0])
 
     def test_constant_offset(self):
         scene = SourceScene((0.0,), (1.0,))
-        assert empirical_bias([est(0.02), est(0.02)], scene, 0) == pytest.approx(0.02)
+        assert empirical_bias(errs(scene, est(0.02), est(0.02))) == pytest.approx([0.02])
 
 
 class TestSuccessRate:
     def test_half_gap_caps(self):
         scene = SourceScene((-0.5, 0.5), (1.0, 1.0))  # gap 1.0, cap 0.5
-        assert success_rate([est(-0.2, 0.3)], scene) == 1.0
-        assert success_rate([est(0.1, 0.3)], scene) == 0.0
+        assert success_rate(errs(scene, est(-0.2, 0.3)), scene) == 1.0
+        assert success_rate(errs(scene, est(0.1, 0.3)), scene) == 0.0
 
 
 def kl(r_true: np.ndarray, sigma_model: np.ndarray) -> float:

@@ -29,16 +29,16 @@ class TestQsValues:
         # q and s both reduce to the squared manifold norm M
         g = ArrayGeometry.ula(5)
         state = make_state(g, [-0.5, 0.0, 0.5], [0.0, 0.0, 0.0], 1.0)
-        q, s = qs_values(0.23, state, 1, np.eye(5), g)
-        assert q == pytest.approx(5.0, abs=1e-12)
-        assert s == pytest.approx(5.0, abs=1e-12)
+        q, s = qs_values(np.array([0.23]), state, 1, np.eye(5), g)
+        assert q[0] == pytest.approx(5.0, abs=1e-12)
+        assert s[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_scaled_identity_data(self):
         g = ArrayGeometry.ula(4)
         state = make_state(g, [-0.5, 0.0, 0.5], [0.0, 0.0, 0.0], 1.0)
-        q, s = qs_values(-0.37, state, 0, 3.0 * np.eye(4), g)
-        assert q == pytest.approx(3.0 * 4.0, abs=1e-12)
-        assert s == pytest.approx(4.0, abs=1e-12)
+        q, s = qs_values(np.array([-0.37]), state, 0, 3.0 * np.eye(4), g)
+        assert q[0] == pytest.approx(3.0 * 4.0, abs=1e-12)
+        assert s[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_dense_formulas(self, rng):
         # independent dense evaluation of the quoted expressions
@@ -58,10 +58,10 @@ class TestQsValues:
             phi = manifold(u, g)
             q_ref = float(np.real(phi.conj() @ cinv @ r @ cinv @ phi))
             s_ref = float(np.real(phi.conj() @ cinv @ phi))
-            q, s = qs_values(u, state, i, r, g)
-            assert q == pytest.approx(q_ref, rel=1e-10)
-            assert s == pytest.approx(s_ref, rel=1e-10)
-            assert s > 0 and q >= 0
+            q, s = qs_values(np.array([u]), state, i, r, g)
+            assert q[0] == pytest.approx(q_ref, rel=1e-10)
+            assert s[0] == pytest.approx(s_ref, rel=1e-10)
+            assert s[0] > 0 and q[0] >= 0
 
 
 class TestGammaOpt:
