@@ -168,6 +168,8 @@ def main(argv=None) -> int:
         parser.error("describe-geometry needs --config or --positions")
     if args.command == "estimate" and args.svg and not args.spectrum:
         parser.error("estimate --svg needs --spectrum")
+    if args.command == "sweep" and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except (xp.ConfigError, GeometryError, FileNotFoundError) as exc:

@@ -484,9 +484,10 @@ def write_svg_lines(path, series: dict[str, tuple[list[float], list[float]]], lo
 
 def _run_cells(cfg: ExperimentConfig, jobs: int) -> list[dict]:
     cells = [(a, t) for a in range(len(cfg.sweep_values)) for t in range(cfg.trials)]
-    if jobs <= 1:
+    workers = min(jobs, len(cells))  # the pool starts every worker it is allowed
+    if workers <= 1:
         return [run_one_trial(cfg, a, t) for a, t in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_one_trial, cfg, a, t) for a, t in cells]
         return [f.result() for f in futures]
 

@@ -107,7 +107,8 @@ class LagMap:
     Keyed by the integer positions through ``lag_map``, which caches one
     instance per geometry.  The upper-triangle pairs (i < j) are kept in
     row-major order together with their lags ``p_j - p_i``; the adjoint and
-    the per-lag averages are ``np.bincount`` sums over them.
+    the per-lag averages are ``np.bincount`` sums over them, one sum over the
+    entries' (real, imag) float view into bins ``2 * lag`` and ``2 * lag + 1``.
     """
 
     def __init__(self, positions: tuple[int, ...]):
@@ -120,18 +121,18 @@ class LagMap:
         self.rows, self.cols = np.triu_indices(self.n, k=1)
         self.lags = self.lag_idx[self.rows, self.cols]
         self.counts = np.bincount(self.lags, minlength=self.aperture)  # pairs per lag; [0] is 0
+        self.upper_flat = self.rows * self.n + self.cols
+        self.lag_bins = (2 * self.lags[:, None] + np.arange(2)).ravel()
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         """T(v): ``v[|p_i - p_j|]`` on and above the diagonal, conjugates below."""
         out = v[self.lag_idx]
-        out[self.conj_mask] = np.conj(out[self.conj_mask])
-        return out
+        return np.conjugate(out, out=out, where=self.conj_mask)
 
     def lag_sums(self, upper: np.ndarray) -> np.ndarray:
         """Per-lag sums of entries listed in upper-pair order (index 0 stays 0)."""
-        return np.bincount(self.lags, upper.real, self.aperture) + 1j * np.bincount(
-            self.lags, upper.imag, self.aperture
-        )
+        parts = np.ascontiguousarray(upper, dtype=np.complex128).view(np.float64)
+        return np.bincount(self.lag_bins, parts, 2 * self.aperture).view(np.complex128)
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         """Adjoint under the real trace inner product, for Hermitian ``a``.
@@ -139,7 +140,7 @@ class LagMap:
         ``Re tr(A T(v)) == Re <v, adjoint(A)>`` for every lag vector v, with
         ``<x, y> = sum conj(x) * y``.
         """
-        out = 2.0 * self.lag_sums(a[self.rows, self.cols])
+        out = 2.0 * self.lag_sums(a.take(self.upper_flat))
         out[0] = np.trace(a).real
         return out
 
@@ -221,10 +222,10 @@ def lag_projections(aperture: int) -> tuple[np.ndarray, np.ndarray]:
 
 def unpack_lags(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
-    ap = (x.size + 1) // 2
-    v = np.empty(ap, dtype=np.complex128)
-    v[0] = x[0]
-    v[1:] = x[1::2] + 1j * x[2::2]
+    v = np.zeros((x.size + 1) // 2, dtype=np.complex128)
+    parts = v.view(np.float64)  # Re v0, Im v0 = 0, Re v1, Im v1, ...
+    parts[0] = x[0]
+    parts[2:] = x[1:]
     return v
 
 

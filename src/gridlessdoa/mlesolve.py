@@ -184,22 +184,22 @@ class _BarrierProblem:
         self.toep = lag_map(tuple(range(self.map.aperture)))
         self.scale = max(float(scale), 1e-300)
         self.weight = nx.hermitian_part(weights.weight) / self.scale
-        self.noise = np.asarray(weights.noise_diag, dtype=np.float64)
+        self.noise = np.diag(np.asarray(weights.noise_diag, dtype=np.float64))
         self.data = nx.hermitian_part(weights.data_matrix) / self.scale
         self.g_lin = pack_lags(self.map.adjoint(self.weight))
         self.v1, self.v2 = lag_projections(self.map.aperture)
 
     def factor(self, x: np.ndarray):
         """``(P, L)`` at x, with ``P = (Map+D)^-1`` and L the Cholesky factor
-        of Toep; None when x is infeasible.  Toep goes first: T(v) is its
-        principal submatrix and D > 0, so it alone decides feasibility."""
+        of Toep; None when x is infeasible.  That one factorization decides
+        feasibility: T(v) is a principal submatrix of Toep and D > 0, so
+        Map + D is then positive definite and P is its direct inverse."""
         v = unpack_lags(x)
         try:
             low_t = nx.chol_factor(self.toep.assemble(v))
-            sigma = self.map.assemble(v) + np.diag(self.noise)
-            return nx.inv_from_factor(nx.chol_factor(sigma)), low_t
         except nx.NotPositiveDefiniteError:
             return None
+        return np.linalg.inv(self.map.assemble(v) + self.noise), low_t
 
     def value(self, x: np.ndarray, mu: float, factors) -> tuple[float, float]:
         p, low_t = factors
@@ -211,14 +211,12 @@ class _BarrierProblem:
         and mu tr(C_a T^-1 C_b T^-1), are 2-D lag correlations read off DFTs on
         the aperture grid (``lag_projections``)."""
         p, low_t = factors
-        g2 = nx.hermitian_part(p @ self.data @ p)
+        g2 = p @ self.data @ p
         tinv = nx.inv_from_factor(low_t)
-        grad = self.g_lin - pack_lags(self.map.adjoint(g2))
-        grad -= mu * pack_lags(self.toep.adjoint(tinv))
+        grad = self.g_lin - pack_lags(self.map.adjoint(g2) + mu * self.toep.adjoint(tinv))
 
         w_map, w_toep = self.map.dft, self.toep.dft
-        p_hat = w_map @ p @ w_map.T
-        g_hat = w_map @ g2 @ w_map.T
+        p_hat, g_hat = w_map @ np.array((p, g2)) @ w_map.T
         t_hat = w_toep @ tinv @ w_toep.T
         z = np.real(p_hat * g_hat.conj()) + (0.5 * mu) * np.abs(t_hat) ** 2
         half = self.v1.T @ z @ self.v2
@@ -290,7 +288,8 @@ def _solve_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     # The Hessian is PSD by construction (convex data term plus barrier), so
     # an undamped factorization normally succeeds and artificial damping
     # would only blunt the Newton step where the barrier curvature is large.
-    # The factorization is the definiteness test; one real solve is cheaper.
+    # The factorization, in real arithmetic, is the definiteness test; the
+    # step is one real solve.
     try:
         nx.chol_factor(hess)
         return -np.linalg.solve(hess, grad)

@@ -67,16 +67,26 @@ def herm_eig(a: np.ndarray) -> EigenPair:
 
 
 def chol_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with A = L L^H; raises if A is not positive definite.
+    """Lower-triangular L with A = L L^H, read from A's lower triangle only.
 
-    Backed by LAPACK; a failed factorization (nonpositive pivot) maps to
-    ``NotPositiveDefiniteError``.
+    L keeps A's dtype (a real A gets a real L).  A is neither copied nor
+    scanned: a non-finite entry gives a non-finite pivot, checked on L's
+    diagonal, or makes LAPACK fail, and only then is A checked.  Non-finite
+    input raises ``NumericsError``; a finite A that is not positive definite
+    raises ``NotPositiveDefiniteError``.
     """
-    a = _as_square_complex(a)
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NumericsError(f"expected a square matrix, got shape {a.shape}")
     try:
-        return np.linalg.cholesky(a)
+        low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
+        if not np.isfinite(a).all():
+            raise NumericsError("matrix has non-finite entries") from None
         raise NotPositiveDefiniteError("matrix not positive definite") from None
+    if not np.isfinite(low.diagonal()).all():
+        raise NumericsError("matrix has non-finite entries")
+    return low
 
 
 def inv_from_factor(low: np.ndarray) -> np.ndarray:
@@ -95,7 +105,7 @@ def inv_pd(a: np.ndarray) -> np.ndarray:
 
 def logdet_from_factor(low: np.ndarray) -> float:
     """log det(L L^H) from the lower Cholesky factor L."""
-    return float(2.0 * np.log(np.diag(low).real).sum())
+    return float(2.0 * np.log(low.diagonal().real).sum())
 
 
 def gaussian_nll(a: np.ndarray, r: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ class TestRunExperiment:
         assert "tiny_summary.csv" in names and "tiny_trials.csv" in names
         assert sum(name.endswith("_spectrum.csv") for name in names) == spectra
         for name in names:
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    def test_worker_count_is_capped_at_the_cell_count(self, tmp_path, monkeypatch):
+        # a pool starts every worker it may, so 64 jobs on 4 cells must ask for 4
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return SimpleNamespace(result=lambda: result)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        cfg = parse_config(BASE_CONFIG)
+        run_experiment(cfg, tmp_path / "s", jobs=1)
+        assert asked == []
+        run_experiment(cfg, tmp_path / "p", jobs=64)
+        assert asked == [4]
+        for name in ("tiny_summary.csv", "tiny_trials.csv"):
             assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
     def test_spectrum_csv_per_estimator(self, tmp_path):
@@ -398,6 +426,14 @@ class TestCliMain:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", self.write_config(tmp_path), "--out", str(tmp_path), flag])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", self.write_config(tmp_path), "--out", str(tmp_path),
+                  f"--jobs={jobs}"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_crb_curve(self, tmp_path):
         cfg = self.write_config(tmp_path)

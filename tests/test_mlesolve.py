@@ -253,7 +253,7 @@ class TestBarrierNewtonSystem:
             )
             _, hess = problem.grad_hess(x, mu, factors)
             want = _dense_barrier_hessian(
-                positions, unpack_lags(x), problem.noise, problem.data, mu
+                positions, unpack_lags(x), problem.noise.diagonal(), problem.data, mu
             )
             assert np.abs(hess - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -331,6 +331,26 @@ class TestBarrierFactor:
             want = np.linalg.inv(structured_matrix(v, g) + np.diag(weights.noise_diag))
             assert np.abs(p - want).max() <= 1e-12 * np.abs(want).max()
             np.testing.assert_allclose(low_t @ low_t.conj().T, toeplitz_embed(v), atol=1e-12 * np.abs(v).max())
+
+    def test_p_is_the_inverse_of_sigma(self, rng):
+        positions = (0, 1, 2, 3, 7, 11)
+        problem, x, (p, _) = _barrier_problem(rng, positions)
+        sigma = structured_matrix(unpack_lags(x), ArrayGeometry(positions)) + problem.noise
+        want = nx.inv_pd(sigma)
+        assert np.abs(p - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_negative_zero_lag_is_infeasible(self, rng):
+        problem, x, _ = _barrier_problem(rng, (0, 1, 2, 3, 7, 11))
+        x[0] = -x[0]
+        assert problem.factor(x) is None
+
+    def test_nan_is_an_error_not_an_infeasible_point(self, rng):
+        # a NaN candidate must not be backtracked away as merely infeasible
+        problem, x, _ = _barrier_problem(rng, (0, 1, 2, 3, 7, 11))
+        x[3] = np.nan
+        with pytest.raises(nx.NumericsError) as exc:
+            problem.factor(x)
+        assert not isinstance(exc.value, nx.NotPositiveDefiniteError)
 
 
 class TestSolveSubproblemResult:

@@ -95,6 +95,37 @@ class TestCholSolve:
         assert abs(nx.logdet_from_factor(nx.chol_factor(a)) - np.log(e.values).sum()) < 1e-10
 
 
+class TestCholFactorContract:
+    """Input handling of ``chol_factor``: dtype kept, non-finite input is a
+    ``NumericsError`` and never a plain not-positive-definite verdict."""
+
+    def test_real_input_gives_real_factor(self, rng):
+        b = rng.standard_normal((7, 7))
+        a = b @ b.T + 7 * np.eye(7)
+        low = nx.chol_factor(a)
+        assert low.dtype == np.float64
+        assert np.array_equal(low, np.linalg.cholesky(a))
+
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 0), np.nan), ((1, 0), np.inf)])
+    def test_nonfinite_lower_triangle_is_a_numerics_error(self, entry, value):
+        # LAPACK reports a real inf at (1, 0) as "not positive definite", so
+        # mapping every LinAlgError to NotPositiveDefiniteError fails here
+        for dtype in (np.float64, np.complex128):
+            a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]], dtype=dtype)
+            a[entry] = value
+            with pytest.raises(nx.NumericsError) as exc:
+                nx.chol_factor(a)
+            assert not isinstance(exc.value, nx.NotPositiveDefiniteError)
+
+    def test_indefinite_is_not_positive_definite(self):
+        with pytest.raises(nx.NotPositiveDefiniteError):
+            nx.chol_factor(np.diag([1.0, -1.0]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(nx.NumericsError):
+            nx.chol_factor(np.ones((2, 3)))
+
+
 class TestInvFromFactor:
     def test_matches_identity_solves(self, rng):
         # independent reference: LAPACK's general inverse of the unfactored matrix
