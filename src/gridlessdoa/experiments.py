@@ -286,14 +286,17 @@ def spectrum_grid(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _mle_config(cfg: ExperimentConfig, diagnostics: dict) -> MleConfig:
-    """Solver settings of ``cfg``; each ML cost goes to ``diagnostics["cost_trace"]``."""
+    """Solver settings of ``cfg``; each ML cost goes to ``diagnostics["cost_trace"]``
+    and the run's Newton work to ``diagnostics["newton"]``."""
     trace = diagnostics["cost_trace"] = []
-    return MleConfig(
+    mle = MleConfig(
         lam=cfg.solver_lambda,
         lam_m=cfg.solver_lambda * cfg.solver_lambda_m_factor,
         outer_iters=cfg.solver_iter,
         callback=lambda _k, _v, cost: trace.append(cost),
     )
+    diagnostics["newton"] = mle.newton
+    return mle
 
 
 def covariance_order(name: str, g: ArrayGeometry) -> int:
@@ -367,11 +370,17 @@ def run_estimator(
 
 
 def _record_solver(record: dict, diagnostics: dict) -> None:
-    """Count one solver run and its ML-cost increases (descent violations)."""
+    """Count one solver run, its ML-cost increases (descent violations) and
+    its Newton work (steps, eigen fallbacks, capped barrier stages)."""
     trace = diagnostics.get("cost_trace")
     if trace:
         record["solver_runs"] = 1
         record["descent_violations"] = sum(1 for a, b in zip(trace, trace[1:]) if b > a + 1e-9)
+    newton = diagnostics.get("newton")
+    if newton is not None:
+        record["newton_steps"] = newton.steps
+        record["newton_fallbacks"] = newton.fallbacks
+        record["newton_cap_hits"] = newton.cap_hits
 
 
 # Errors of the data (an ill-conditioned draw, a solver that cannot proceed):
@@ -566,6 +575,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         "solver_runs": sum(rec.get("solver_runs", 0) for rec in records),
         "descent_violations": sum(rec.get("descent_violations", 0) for rec in records),
         "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rec in records for rnd in rec.get("rounds", [])),
+        "newton_steps": sum(rec.get("newton_steps", 0) for rec in records),
+        "newton_fallbacks": sum(rec.get("newton_fallbacks", 0) for rec in records),
+        "newton_cap_hits": sum(rec.get("newton_cap_hits", 0) for rec in records),
         "sbl_iters": sum(rnd["sbl_iters"] for rec in records for rnd in rec.get("rounds", [])),
         "cells": meta_cells,
     }

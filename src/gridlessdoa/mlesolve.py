@@ -23,7 +23,7 @@ lags the physical array never observes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,10 +56,22 @@ class LineSearchError(SolverError):
 # each stage at most MAX_NEWTON Newton steps of at most MAX_BACKTRACKS halvings.
 BARRIER_START = 1e-2
 BARRIER_STOP = 1e-9
-BARRIER_FACTOR = 0.1
+BARRIER_FACTOR = 0.01
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 80
 MAX_BACKTRACKS = 60
+
+
+@dataclass
+class NewtonWork:
+    """Newton work of the subproblem solves: Newton steps (gradient and
+    Hessian evaluations, including the one that finds a stage converged),
+    directions that fell back to the eigensolve in ``_solve_direction``, and
+    barrier stages stopped at ``MAX_NEWTON`` steps short of their tolerance."""
+
+    steps: int = 0
+    fallbacks: int = 0
+    cap_hits: int = 0
 
 
 @dataclass
@@ -69,13 +81,17 @@ class MleConfig:
     ``lam`` is the noise variance fed to the model (assumed known).  The EM
     variant additionally uses ``lam_m`` for the latent sensors; when unset it
     defaults to ``1e3 * lam``.  The outer loop runs ``outer_iters`` subproblem
-    solves with no early stop.  The barrier schedule is module constants.
+    solves with no early stop.  The barrier schedule is module constants, so
+    no field sets anything in the subproblem solve.  ``newton`` is an output
+    only: every solve run with this config adds its Newton work to it, and it
+    never changes an iterate.
     """
 
     lam: float = 1.0
     lam_m: float | None = None
     outer_iters: int = 20
     callback: Callable[[int, np.ndarray, float], None] | None = None
+    newton: NewtonWork = field(default_factory=NewtonWork)
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
@@ -226,13 +242,14 @@ class _BarrierProblem:
 def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
     """Push the path start into the cone interior compatible with mu0.
 
-    Warm starts arriving from a previous solve sit essentially on the PSD
-    boundary, where the barrier Hessian is numerically singular and Newton
-    crawls.  Shifting the zero lag (an exact spectrum shift of the Toeplitz
-    embedding) lifts its least eigenvalue to ``sqrt(mu0) * scale``, so even an
-    infeasible start becomes strictly feasible (``T(v)`` is a principal
-    submatrix of ``Toep(v)``).  The original start stays in the candidate
-    set, so the returned objective can only improve.
+    A cold solve (a run's first, or one after a failed first stage) starts
+    from the MM iterate, which may sit essentially on the PSD boundary, where
+    the barrier Hessian is numerically singular and Newton crawls.  Shifting
+    the zero lag (an exact spectrum shift of the Toeplitz embedding) lifts
+    its least eigenvalue to ``sqrt(mu0) * scale``, so even an infeasible
+    start becomes strictly feasible (``T(v)`` is a principal submatrix of
+    ``Toep(v)``).  The original start stays in the candidate set, so the
+    returned objective can only improve.
     """
     v = unpack_lags(x)
     eig = nx.herm_eig(toeplitz_embed(v))
@@ -245,19 +262,19 @@ def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
     return x
 
 
-def _newton_stage(problem: _BarrierProblem, x: np.ndarray, mu: float, tol: float):
-    """Minimize f + mu * barrier from x; returns (x, best_f_seen, best_x)."""
-    factors = problem.factor(x)
-    if factors is None:
-        raise SolverError("infeasible start in Newton stage")
+def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, tol: float,
+                  work: NewtonWork):
+    """Minimize f + mu * barrier from x, whose ``factors`` do not depend on mu;
+    returns (x, its factors, best_f_seen, best_x)."""
     f_plain, f_mu = problem.value(x, mu, factors)
     best_f, best_x = f_plain, x
     for _ in range(MAX_NEWTON):
         grad, hess = problem.grad_hess(x, mu, factors)
+        work.steps += 1
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol * (1.0 + abs(f_mu)):
             break
-        step = _solve_direction(hess, grad)
+        step = _solve_direction(hess, grad, work)
         slope = float(grad @ step)
         if slope >= 0:  # rounding gave a non-descent direction; use steepest
             step = -grad
@@ -281,10 +298,12 @@ def _newton_stage(problem: _BarrierProblem, x: np.ndarray, mu: float, tol: float
             best_f, best_x = f_plain, x
         if -slope * t < 1e-16 * (1.0 + abs(f_mu)):
             break
-    return x, best_f, best_x
+    else:
+        work.cap_hits += 1
+    return x, factors, best_f, best_x
 
 
-def _solve_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _solve_direction(hess: np.ndarray, grad: np.ndarray, work: NewtonWork) -> np.ndarray:
     # The Hessian is PSD by construction (convex data term plus barrier), so
     # an undamped factorization normally succeeds and artificial damping
     # would only blunt the Newton step where the barrier curvature is large.
@@ -297,6 +316,7 @@ def _solve_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         pass
     # Rounding made it indefinite: solve in the eigenbasis with the noise
     # floor clipped relative to the dominant curvature.
+    work.fallbacks += 1
     eig = nx.herm_eig(0.5 * (hess + hess.T))
     floor = max(eig.values[-1], 1.0) * 1e-14
     inv = 1.0 / np.maximum(eig.values, floor)
@@ -304,40 +324,68 @@ def _solve_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return -np.real((vec * inv) @ (vec.conj().T @ grad))
 
 
+@dataclass
+class _Resume:
+    """Where the first barrier stage of an MM/EM run's last solve ended.
+
+    Consecutive subproblems of one run share the constraint ``Toep(v) >= 0``
+    and differ only in weights and data, so that point is strictly feasible
+    for the next solve and near its central path at ``BARRIER_START``.
+    ``x`` is None before the run's first solve and after a first stage that
+    failed; the next solve then starts cold from ``_center_start``.
+    """
+
+    x: np.ndarray | None = None
+
+
 def solve_subproblem(
     weights: SubproblemWeights,
     start: np.ndarray,
     cfg: MleConfig,
+    resume: _Resume | None = None,
 ) -> np.ndarray:
     """Solve the Toeplitz-constrained convex subproblem from any start.
 
     Runs log-barrier continuation with damped Newton inner iterations.  The
     returned point never has a larger objective than a feasible start: the
     start and every accepted iterate are candidates and the best one wins.
-    ``cfg`` sets nothing here; the barrier schedule is module constants.
+    ``cfg`` sets nothing here; the barrier schedule is module constants, and
+    the solve's Newton work is added to ``cfg.newton``.  The first stage
+    starts at ``resume.x`` when the MM loop hands one over, otherwise at
+    ``_center_start(start)``; the point it ends on is left in ``resume``.
     """
     x0 = pack_lags(np.asarray(start, dtype=np.complex128))
     mu = BARRIER_START
-    x = _center_start(x0, mu)
+    if resume is None:
+        resume = _Resume()
+    x = _center_start(x0, mu) if resume.x is None else resume.x
     # Renormalize so the schedule sees an O(n)-scale objective.
-    f_centred = subproblem_objective(weights, unpack_lags(x))
-    problem = _BarrierProblem(weights, max(1.0, f_centred / (2.0 * weights.geometry.m)))
+    f_first = subproblem_objective(weights, unpack_lags(x))
+    problem = _BarrierProblem(weights, max(1.0, f_first / (2.0 * weights.geometry.m)))
+    factors = problem.factor(x)
+    if factors is None:
+        raise SolverError("infeasible start in Newton stage")
 
     candidates: list[tuple[float, np.ndarray]] = []
     start_factors = problem.factor(x0)
     if start_factors is not None:
         candidates.append((problem.value(x0, 1.0, start_factors)[0], x0))
+    resume.x = None
     while True:
         final = mu <= BARRIER_STOP * (1.0 + 1e-12)
         # Intermediate stages only need to track the central path loosely.
         tol = NEWTON_TOL if final else max(NEWTON_TOL, 1e-6)
         try:
-            x, stage_best_f, stage_best_x = _newton_stage(problem, x, mu, tol)
+            x, factors, stage_best_f, stage_best_x = _newton_stage(
+                problem, x, factors, mu, tol, cfg.newton
+            )
         except LineSearchError:
             if not candidates:
                 raise
             break
         candidates.append((stage_best_f, stage_best_x))
+        if mu == BARRIER_START:
+            resume.x = x
         if final:
             break
         mu = max(mu * BARRIER_FACTOR, BARRIER_STOP)
@@ -372,16 +420,19 @@ def _majorize_minimize(
     and solves one subproblem on ``fit_geometry`` majorizing the log-det term
     of ``T(v) + diag(noise)`` at ``v``.  The start ``v`` passed ``factor`` in
     the last solve (same geometry and noise), so it is a candidate and a
-    failed line search returns the best point instead of raising.  The
-    callback sees the ML cost of ``cfg.lam`` and the SCM ``r`` on the
-    physical geometry ``g``, which is non-increasing along the iterates.
+    failed line search returns the best point instead of raising.  Each solve
+    starts its barrier path where the previous one's first stage ended
+    (``_Resume``, owned by this run).  The callback sees the ML cost of
+    ``cfg.lam`` and the SCM ``r`` on the physical geometry ``g``, which is
+    non-increasing along the iterates.
     """
     v = np.zeros(coarray(fit_geometry).aperture, dtype=np.complex128)
     v[0] = 1.0
     if cfg.callback is not None:
         cfg.callback(0, v.copy(), ml_cost(v, cfg.lam, r, g))
+    resume = _Resume()
     for k in range(1, cfg.outer_iters + 1):
-        v = solve_subproblem(_majorization(v, fit_matrix(v), fit_geometry, noise), v, cfg)
+        v = solve_subproblem(_majorization(v, fit_matrix(v), fit_geometry, noise), v, cfg, resume)
         if cfg.callback is not None:
             cfg.callback(k, v.copy(), ml_cost(v, cfg.lam, r, g))
     return v

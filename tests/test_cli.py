@@ -314,6 +314,19 @@ class TestRunExperiment:
         for path in tmp_path.glob("*.csv"):
             assert "sbl_iters" not in path.read_text()
 
+    def test_newton_work_in_meta(self, tmp_path):
+        # the meta totals each MM/EM run's Newton work; no CSV has it
+        cfg = parse_config(SPARSE_SPECTRUM_CONFIG)
+        run_experiment(cfg, tmp_path)
+        meta = json.loads((tmp_path / "tiny_meta.json").read_text())
+        records = [rec for t in range(2) for rec in run_one_trial(cfg, 0, t)["results"].values()]
+        assert len(records) == 8
+        for key in ("newton_steps", "newton_fallbacks", "newton_cap_hits"):
+            assert meta[key] == sum(rec[key] for rec in records)
+            for path in tmp_path.glob("*.csv"):
+                assert key not in path.read_text()
+        assert meta["newton_steps"] > 0 and meta["newton_cap_hits"] == 0
+
     def test_svg_written(self, tmp_path):
         cfg = parse_config(BASE_CONFIG)
         run_experiment(cfg, tmp_path, svg=True)

@@ -1,13 +1,18 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlessdoa import mlesolve
 from gridlessdoa import numerics as nx
+from gridlessdoa.experiments import parse_config, run_one_trial
 from gridlessdoa.geometry import ArrayGeometry, coarray, structured_matrix, toeplitz_embed
 from gridlessdoa.mlesolve import (
     BARRIER_START,
     _BarrierProblem,
+    _Resume,
     _center_start,
     CompletionPlan,
     MleConfig,
@@ -377,6 +382,91 @@ class TestSolveSubproblemResult:
         start = unpack_lags(lag_scale * rng.standard_normal(2 * coarray(g).aperture - 1))
         v = solve_subproblem(weights(), start, MleConfig())
         assert _BarrierProblem(weights()).factor(pack_lags(v)) is not None
+
+
+class TestResumedSolve:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        short_aperture_positions,
+        st.floats(-3.0, -1.0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_resumed_solve_matches_cold_solve(self, positions, shift, seed):
+        # the second of two MM-like solves: same geometry and noise, weights
+        # and data moved by a relative ``shift``; resuming from the first
+        # solve's first-stage point reaches the cold solve's objective
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        noise = 0.2 + rng.random(g.m)
+        weight, data = random_psd(rng, g.m, load=0.1), random_psd(rng, g.m, load=0.1)
+
+        def weights(w, r):
+            return SubproblemWeights(weight=w, noise_diag=noise, data_matrix=r, geometry=g)
+
+        resume = _Resume()
+        start = random_feasible_lags(rng, g)
+        v1 = solve_subproblem(weights(weight, data), start, MleConfig(), resume)
+        assert resume.x is not None
+        second = weights(
+            weight + shift * random_psd(rng, g.m), data + shift * random_psd(rng, g.m)
+        )
+        cold = subproblem_objective(second, solve_subproblem(second, v1, MleConfig()))
+        warm = subproblem_objective(second, solve_subproblem(second, v1, MleConfig(), resume))
+        assert abs(warm - cold) <= 1e-7 * abs(cold)
+        f_start = subproblem_objective(second, v1)
+        assert warm <= f_start + 1e-12 * abs(f_start)
+
+
+class TestNewtonWork:
+    @pytest.mark.parametrize("name, budget", [("fig_resolution", 55.0), ("fig_nula_em", 44.0)])
+    def test_newton_steps_per_solve(self, name, budget):
+        # trial 0 of the bundled config; cold-starting every solve takes 64.3
+        # and 52.5 steps per solve here on a 10x mu schedule, 54.6 and 40.2
+        # on the 100x one
+        cfg = parse_config((resources.files("gridlessdoa") / "configs" / f"{name}.cfg").read_text())
+        records = run_one_trial(cfg, 0, 0)["results"]
+        steps = sum(rec["newton_steps"] for rec in records.values())
+        assert steps / (cfg.solver_iter * len(records)) <= budget
+        assert all(rec["newton_cap_hits"] == 0 for rec in records.values())
+
+    def test_counts_are_output_only(self):
+        g = ArrayGeometry((0, 1, 5, 6, 10, 11))
+        y = simulate(SourceScene.from_snr((-0.5, 0.0, 0.5), 15.0), g, 100, seed=13)
+        fresh = MleConfig(lam=1.0, outer_iters=4)
+        used = MleConfig(lam=1.0, outer_iters=4)
+        used.newton.steps, used.newton.fallbacks = 10**6, 10**6
+        r = scm(y)
+        np.testing.assert_array_equal(structcov_mle(r, g, fresh), structcov_mle(r, g, used))
+        assert fresh.newton.steps > 0 and used.newton.steps == 10**6 + fresh.newton.steps
+
+
+class TestCarriedStart:
+    def test_center_start_once_per_run(self, monkeypatch):
+        # every solve after a run's first resumes from the carried point
+        calls = []
+        centre = mlesolve._center_start
+        monkeypatch.setattr(
+            mlesolve, "_center_start", lambda x, mu: calls.append(mu) or centre(x, mu)
+        )
+        g = ArrayGeometry((0, 1, 5, 6, 10, 11))
+        y = simulate(SourceScene.from_snr((-0.6, -0.1, 0.4), 15.0), g, 60, seed=21)
+        structcov_mle(scm(y), g, MleConfig(lam=1.0, outer_iters=6))
+        em_gridless(y, g, CompletionPlan.from_geometry(g), MleConfig(lam=1.0, outer_iters=6))
+        assert len(calls) == 2
+
+    def test_runs_in_one_process_match_a_single_run(self):
+        # the first-stage point is carried within one MM/EM run only
+        g = ArrayGeometry((0, 1, 5, 6, 10, 11))
+        plan = CompletionPlan.from_geometry(g)
+        y = simulate(SourceScene.from_snr((-0.6, -0.1, 0.4), 15.0), g, 60, seed=21)
+
+        def mle():
+            return structcov_mle(scm(y), g, MleConfig(lam=1.0, outer_iters=6))
+
+        single = mle()
+        np.testing.assert_array_equal(mle(), single)
+        em_gridless(y, g, plan, MleConfig(lam=1.0, outer_iters=6))
+        np.testing.assert_array_equal(mle(), single)
 
 
 class TestStructcovMle:
