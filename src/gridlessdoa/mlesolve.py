@@ -242,8 +242,8 @@ class _BarrierProblem:
 def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
     """Push the path start into the cone interior compatible with mu0.
 
-    A cold solve (a run's first, or one after a failed first stage) starts
-    from the MM iterate, which may sit essentially on the PSD boundary, where
+    A standalone solve (no ``_Resume`` handed over) starts from its given
+    point, which may sit essentially on the PSD boundary, where
     the barrier Hessian is numerically singular and Newton crawls.  Shifting
     the zero lag (an exact spectrum shift of the Toeplitz embedding) lifts
     its least eigenvalue to ``sqrt(mu0) * scale``, so even an infeasible
@@ -330,9 +330,11 @@ class _Resume:
 
     Consecutive subproblems of one run share the constraint ``Toep(v) >= 0``
     and differ only in weights and data, so that point is strictly feasible
-    for the next solve and near its central path at ``BARRIER_START``.
-    ``x`` is None before the run's first solve and after a first stage that
-    failed; the next solve then starts cold from ``_center_start``.
+    for the next solve and near its central path at ``BARRIER_START``.  An
+    MM/EM run seeds ``x`` with its start, the unit lag vector (``Toep = I``:
+    strictly feasible and central); a first stage that fails leaves ``x`` as
+    it was, still feasible for every later solve.  ``x`` is None only for a
+    standalone solve, which starts from ``_center_start``.
     """
 
     x: np.ndarray | None = None
@@ -352,7 +354,7 @@ def solve_subproblem(
     ``cfg`` sets nothing here; the barrier schedule is module constants, and
     the solve's Newton work is added to ``cfg.newton``.  The first stage
     starts at ``resume.x`` when the MM loop hands one over, otherwise at
-    ``_center_start(start)``; the point it ends on is left in ``resume``.
+    ``_center_start(start)``; the point it ends on replaces ``resume.x``.
     """
     x0 = pack_lags(np.asarray(start, dtype=np.complex128))
     mu = BARRIER_START
@@ -370,7 +372,6 @@ def solve_subproblem(
     start_factors = problem.factor(x0)
     if start_factors is not None:
         candidates.append((problem.value(x0, 1.0, start_factors)[0], x0))
-    resume.x = None
     while True:
         final = mu <= BARRIER_STOP * (1.0 + 1e-12)
         # Intermediate stages only need to track the central path loosely.
@@ -421,16 +422,16 @@ def _majorize_minimize(
     of ``T(v) + diag(noise)`` at ``v``.  The start ``v`` passed ``factor`` in
     the last solve (same geometry and noise), so it is a candidate and a
     failed line search returns the best point instead of raising.  Each solve
-    starts its barrier path where the previous one's first stage ended
-    (``_Resume``, owned by this run).  The callback sees the ML cost of
-    ``cfg.lam`` and the SCM ``r`` on the physical geometry ``g``, which is
-    non-increasing along the iterates.
+    starts its barrier path where the previous one's first stage ended, the
+    first at ``v`` itself (``_Resume``, owned by this run).  The callback
+    sees the ML cost of ``cfg.lam`` and the SCM ``r`` on the physical
+    geometry ``g``, which is non-increasing along the iterates.
     """
     v = np.zeros(coarray(fit_geometry).aperture, dtype=np.complex128)
     v[0] = 1.0
     if cfg.callback is not None:
         cfg.callback(0, v.copy(), ml_cost(v, cfg.lam, r, g))
-    resume = _Resume()
+    resume = _Resume(pack_lags(v))
     for k in range(1, cfg.outer_iters + 1):
         v = solve_subproblem(_majorization(v, fit_matrix(v), fit_geometry, noise), v, cfg, resume)
         if cfg.callback is not None:

@@ -1,18 +1,17 @@
 """Likelihood-driven grid refinement for arbitrary (off-grid) geometries.
 
 Arbitrary sensor placements leave no Toeplitz structure to exploit, so the
-grid-based SBL spectrum is refined instead: each top peak's grid point is
-re-optimized jointly in (gamma, u) against the likelihood with the point
-removed from the model (the classic sequential update), and the grid is
-iteratively pruned and locally subdivided around the peaks.  Per-round cost
-stays bounded because pruning keeps the grid near its original size while
-the local resolution multiplies by the subdivision factor every round.
-A round's estimate is its top-k peak atoms refined on the k-atom likelihood.
+grid-based SBL spectrum is refined instead: the grid is iteratively pruned
+and locally subdivided around the SBL peaks.  Per-round cost stays bounded
+because pruning keeps the grid near its original size while the local
+resolution multiplies by the subdivision factor every round.  A round's
+estimate is its top-k peak atoms, each re-optimized jointly in (gamma, u)
+against the k-atom likelihood with the atom removed from the model (the
+classic sequential update).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -28,10 +27,9 @@ class RefineError(Exception):
     pass
 
 
-# _move_atom: candidate directions per window; peak_adjust: its sweep cap.
+# _move_atom: candidate directions per window.
 FINE_POINTS = 101
-MAX_SWEEPS = 30
-# atom_finish: first half-window in u, its shrink per sweep, last half-window.
+# peak_adjust: first half-window in u, its shrink per sweep, last half-window.
 FINISH_WINDOW = 0.04
 FINISH_SHRINK = 4.0
 FINISH_STOP = 1e-10
@@ -64,8 +62,8 @@ def gamma_opt(q: float, s: float) -> float:
     return float((q - s) / max(s, 1e-300) ** 2) if q > s else 0.0
 
 
-def _move_atom(state: SblState, j: int, half: float, r: np.ndarray, g: ArrayGeometry) -> float:
-    """Move point j of ``state`` in place to its best direction; returns how far.
+def _move_atom(state: SblState, j: int, half: float, r: np.ndarray, g: ArrayGeometry) -> None:
+    """Move point j of ``state`` in place to its best direction.
 
     The candidates are ``FINE_POINTS`` directions over ``[u - half, u + half]``
     and the incumbent u, clipped to [-1, 1).  The one with the largest q/s
@@ -84,42 +82,9 @@ def _move_atom(state: SblState, j: int, half: float, r: np.ndarray, g: ArrayGeom
     state.grid[j] = cand[best]
     state.gamma[j] = gamma_opt(q[best], s[best])
     state.dictionary[:, j] = manifold(cand[best], g)
-    return abs(cand[best] - u)
 
 
-def _neighbor_delta(grid: np.ndarray, i: int) -> float:
-    gaps = []
-    if i > 0:
-        gaps.append(grid[i] - grid[i - 1])
-    if i + 1 < grid.size:
-        gaps.append(grid[i + 1] - grid[i])
-    if not gaps:
-        gaps.append(2.0 / max(grid.size, 1))
-    return 0.49 * min(gaps)
-
-
-def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> SblState:
-    """Sequentially re-optimize the top-k peaks' grid points in (gamma, u).
-
-    Each sweep applies ``_move_atom`` to every peak over its neighborhood,
-    bounded away from the adjacent grid points, so the grid stays sorted and
-    the SBL cost never increases.  Sweeps repeat, at most ``MAX_SWEEPS``
-    times, until no peak moves more than 1e-9.  The input state is not
-    modified; SBL run counts carry over.
-    """
-    if k < 1:
-        raise RefineError("need at least one peak")
-    work = replace(
-        state, grid=state.grid.copy(), gamma=state.gamma.copy(), dictionary=state.dictionary.copy()
-    )
-    peaks = top_peaks(work.grid, work.gamma, k)
-    for _ in range(MAX_SWEEPS):
-        if max(_move_atom(work, i, _neighbor_delta(work.grid, i), r, g) for i in peaks) <= 1e-9:
-            break
-    return work
-
-
-def atom_finish(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> DoaEstimate:
+def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> DoaEstimate:
     """The k-source estimate of an SBL state: its top-k peak atoms, with the
     rest of the grid dropped and ``lam`` kept, refined on the k-atom likelihood.
 
@@ -160,19 +125,18 @@ def multires_refine(
 ) -> DoaEstimate:
     """Multi-resolution SBL: prune, subdivide around peaks, re-run, adjust.
 
-    Round 0 runs SBL on a uniform grid of ``grid_size`` points plus one peak
-    adjustment pass.  Each later round prunes points with gamma below
-    ``gamma_thresh`` (never a current top-k peak), inserts ``4*g_factor + 1``
-    points per peak spanning two local grid spacings per side at
-    ``g_factor``-times finer resolution, re-runs SBL from scratch, and
-    adjusts the peaks again.  After r rounds the local resolution is
+    Round 0 runs SBL on a uniform grid of ``grid_size`` points.  Each later
+    round prunes points with gamma below ``gamma_thresh`` (never a current
+    top-k peak), inserts ``4*g_factor + 1`` points per peak spanning two
+    local grid spacings per side at ``g_factor``-times finer resolution, and
+    re-runs SBL from scratch.  After r rounds the local resolution is
     ``(2/grid_size) / g_factor**r``.  Each round's estimate, reported to
     ``on_round`` as ``u_hat`` and returned after the last round, is
-    ``atom_finish`` of its adjusted state; the next round starts from that
-    state, not from the estimate.
+    ``peak_adjust`` of its SBL state; the next round's grid is built from
+    that state's peaks, not from the estimate.
     """
-    if rounds < 0 or g_factor <= 1:
-        raise RefineError("rounds must be >= 0 and g_factor > 1")
+    if rounds < 0 or g_factor <= 1 or k < 1:
+        raise RefineError("rounds must be >= 0, g_factor > 1 and k >= 1")
     r_hat = scm(y)
     grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
     for rnd in range(rounds + 1):
@@ -184,8 +148,8 @@ def multires_refine(
             offsets = step * np.arange(-2 * g_factor, 2 * g_factor + 1)
             grid = np.concatenate([state.grid[keep]] + [state.grid[i] + offsets for i in peaks])
             grid = _dedupe_sorted(grid[(grid >= -1.0) & (grid < 1.0)])
-        state = peak_adjust(sbl_run(g, grid, y, lam, sbl_iters), r_hat, g, k)
-        est = atom_finish(state, r_hat, g, k)
+        state = sbl_run(g, grid, y, lam, sbl_iters)
+        est = peak_adjust(state, r_hat, g, k)
         if on_round is not None:
             on_round(
                 {

@@ -441,8 +441,9 @@ class TestNewtonWork:
 
 
 class TestCarriedStart:
-    def test_center_start_once_per_run(self, monkeypatch):
-        # every solve after a run's first resumes from the carried point
+    def test_no_center_start_in_a_run(self, monkeypatch):
+        # the first solve resumes from the run's unit-lag start, every later
+        # one from the carried point
         calls = []
         centre = mlesolve._center_start
         monkeypatch.setattr(
@@ -452,7 +453,7 @@ class TestCarriedStart:
         y = simulate(SourceScene.from_snr((-0.6, -0.1, 0.4), 15.0), g, 60, seed=21)
         structcov_mle(scm(y), g, MleConfig(lam=1.0, outer_iters=6))
         em_gridless(y, g, CompletionPlan.from_geometry(g), MleConfig(lam=1.0, outer_iters=6))
-        assert len(calls) == 2
+        assert calls == []
 
     def test_runs_in_one_process_match_a_single_run(self):
         # the first-stage point is carried within one MM/EM run only
