@@ -371,7 +371,8 @@ def run_estimator(
 
 def _record_solver(record: dict, diagnostics: dict) -> None:
     """Count one solver run, its ML-cost increases (descent violations) and
-    its Newton work (steps, eigen fallbacks, capped barrier stages)."""
+    its Newton work (steps, eigen fallbacks, capped barrier stages, infeasible
+    stage-start predictions)."""
     trace = diagnostics.get("cost_trace")
     if trace:
         record["solver_runs"] = 1
@@ -381,6 +382,7 @@ def _record_solver(record: dict, diagnostics: dict) -> None:
         record["newton_steps"] = newton.steps
         record["newton_fallbacks"] = newton.fallbacks
         record["newton_cap_hits"] = newton.cap_hits
+        record["newton_predictor_misses"] = newton.predictor_misses
 
 
 # Errors of the data (an ill-conditioned draw, a solver that cannot proceed):
@@ -578,6 +580,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         "newton_steps": sum(rec.get("newton_steps", 0) for rec in records),
         "newton_fallbacks": sum(rec.get("newton_fallbacks", 0) for rec in records),
         "newton_cap_hits": sum(rec.get("newton_cap_hits", 0) for rec in records),
+        "newton_predictor_misses": sum(rec.get("newton_predictor_misses", 0) for rec in records),
         "sbl_iters": sum(rnd["sbl_iters"] for rec in records for rnd in rec.get("rounds", [])),
         "cells": meta_cells,
     }

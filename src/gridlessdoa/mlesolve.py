@@ -54,24 +54,29 @@ class LineSearchError(SolverError):
 
 # Barrier schedule: mu from BARRIER_START down to BARRIER_STOP by BARRIER_FACTOR,
 # each stage at most MAX_NEWTON Newton steps of at most MAX_BACKTRACKS halvings.
+# The predicted start of the next stage gets at most PREDICTOR_HALVINGS halvings.
 BARRIER_START = 1e-2
 BARRIER_STOP = 1e-9
 BARRIER_FACTOR = 0.01
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 80
 MAX_BACKTRACKS = 60
+PREDICTOR_HALVINGS = 3
 
 
 @dataclass
 class NewtonWork:
     """Newton work of the subproblem solves: Newton steps (gradient and
     Hessian evaluations, including the one that finds a stage converged),
-    directions that fell back to the eigensolve in ``_solve_direction``, and
-    barrier stages stopped at ``MAX_NEWTON`` steps short of their tolerance."""
+    directions that fell back to the eigensolve in ``_solve_direction``,
+    barrier stages stopped at ``MAX_NEWTON`` steps short of their tolerance,
+    and stage hand-offs whose predicted start stayed infeasible
+    (``_predict``), so the next stage started where the last one ended."""
 
     steps: int = 0
     fallbacks: int = 0
     cap_hits: int = 0
+    predictor_misses: int = 0
 
 
 @dataclass
@@ -264,8 +269,13 @@ def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
 
 def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, tol: float,
                   work: NewtonWork):
-    """Minimize f + mu * barrier from x, whose ``factors`` do not depend on mu;
-    returns (x, its factors, best_f_seen, best_x)."""
+    """Minimize f + mu * barrier from x, whose ``factors`` do not depend on mu.
+
+    Damped Newton steps with a backtracking line search until the gradient
+    test passes, a step stalls below rounding, or ``MAX_NEWTON`` steps.
+    Returns (x, its factors, the Hessian at x or None when the last
+    accepted step moved x past it, best_f_seen, best_x).
+    """
     f_plain, f_mu = problem.value(x, mu, factors)
     best_f, best_x = f_plain, x
     for _ in range(MAX_NEWTON):
@@ -294,13 +304,43 @@ def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, t
             t *= 0.5
         if not accepted:
             raise LineSearchError("backtracking line search failed")
+        hess = None  # evaluated at the point x just left
         if f_plain < best_f:
             best_f, best_x = f_plain, x
         if -slope * t < 1e-16 * (1.0 + abs(f_mu)):
             break
     else:
         work.cap_hits += 1
-    return x, factors, best_f, best_x
+    return x, factors, hess, best_f, best_x
+
+
+def _predict(problem: _BarrierProblem, x: np.ndarray, factors, hess: np.ndarray | None,
+             mu: float, mu_next: float, work: NewtonWork):
+    """Start of the next barrier stage: the central-path tangent point.
+
+    Along the central path ``grad f + mu grad phi = 0`` (phi = -log det Toep),
+    so ``dx/dmu = -H_mu^-1 grad phi`` and the first-order point for
+    ``mu_next`` is ``x + (mu - mu_next) H_mu^-1 grad phi(x)``, with ``H_mu``
+    the stage's Newton Hessian at x (computed here, and counted as a step,
+    when the stage has none at x).  The step is halved until ``factor``
+    accepts it, at most ``PREDICTOR_HALVINGS`` times; when none is feasible
+    the miss is counted and the stage's end point is returned.  Returns the
+    start and its factors.
+    """
+    if hess is None:
+        _, hess = problem.grad_hess(x, mu, factors)
+        work.steps += 1
+    # -grad phi = pack(Toep^*(T^-1)); _solve_direction returns -H^-1 of its argument.
+    neg_grad_phi = pack_lags(problem.toep.adjoint(nx.inv_from_factor(factors[1])))
+    step = (mu - mu_next) * _solve_direction(hess, neg_grad_phi, work)
+    for _ in range(PREDICTOR_HALVINGS + 1):
+        cand = x + step
+        cand_factors = problem.factor(cand)
+        if cand_factors is not None:
+            return cand, cand_factors
+        step = 0.5 * step
+    work.predictor_misses += 1
+    return x, factors
 
 
 def _solve_direction(hess: np.ndarray, grad: np.ndarray, work: NewtonWork) -> np.ndarray:
@@ -355,6 +395,9 @@ def solve_subproblem(
     the solve's Newton work is added to ``cfg.newton``.  The first stage
     starts at ``resume.x`` when the MM loop hands one over, otherwise at
     ``_center_start(start)``; the point it ends on replaces ``resume.x``.
+    Every later stage starts at ``_predict``'s central-path tangent point
+    from where the previous stage ended, or at that end point itself when no
+    predicted point is feasible (a counted ``predictor_misses``).
     """
     x0 = pack_lags(np.asarray(start, dtype=np.complex128))
     mu = BARRIER_START
@@ -377,7 +420,7 @@ def solve_subproblem(
         # Intermediate stages only need to track the central path loosely.
         tol = NEWTON_TOL if final else max(NEWTON_TOL, 1e-6)
         try:
-            x, factors, stage_best_f, stage_best_x = _newton_stage(
+            x, factors, hess, stage_best_f, stage_best_x = _newton_stage(
                 problem, x, factors, mu, tol, cfg.newton
             )
         except LineSearchError:
@@ -389,7 +432,9 @@ def solve_subproblem(
             resume.x = x
         if final:
             break
-        mu = max(mu * BARRIER_FACTOR, BARRIER_STOP)
+        mu_next = max(mu * BARRIER_FACTOR, BARRIER_STOP)
+        x, factors = _predict(problem, x, factors, hess, mu, mu_next, cfg.newton)
+        mu = mu_next
 
     return unpack_lags(min(candidates, key=lambda c: c[0])[1])
 
@@ -474,7 +519,7 @@ def em_estep(
     m = list(plan.missing_idx)
     r_o = scm(y_o)
     if not m:
-        return r_o
+        return nx.hermitian_part(r_o)
     sig_oo = tn[np.ix_(o, o)] + lam_o * np.eye(len(o))
     sig_mm = tn[np.ix_(m, m)] + lam_m * np.eye(len(m))
     sig_mo = tn[np.ix_(m, o)]

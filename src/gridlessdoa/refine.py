@@ -30,9 +30,11 @@ class RefineError(Exception):
 # _move_atom: candidate directions per window.
 FINE_POINTS = 101
 # peak_adjust: first half-window in u, its shrink per sweep, last half-window.
+# q/s is flat to rounding within about 2e-9 of its maximum, so narrower
+# windows would only move atoms within rounding noise.
 FINISH_WINDOW = 0.04
 FINISH_SHRINK = 4.0
-FINISH_STOP = 1e-10
+FINISH_STOP = 1e-8
 
 
 def qs_values(
