@@ -20,14 +20,14 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .estimate import DoaEstimate, EstimateError, music_spectrum, root_music
 from .geometry import ArrayGeometry, GeometryError, coarray, nested_completion, toeplitz_embed
 from .metrics import MetricsError, assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
-from .mlesolve import CompletionPlan, MleConfig, SolverError, em_gridless, structcov_mle
+from .mlesolve import CompletionPlan, MleConfig, NewtonWork, SolverError, em_gridless, structcov_mle
 from .numerics import NumericsError
 from .refine import RefineError, multires_refine
 from .sbl import SblError
@@ -369,20 +369,22 @@ def run_estimator(
     return root_music(cov, cfg.k)
 
 
+# Per-record solver counters that ``run_experiment`` totals into the meta JSON.
+SOLVER_COUNTERS = ("solver_runs", "descent_violations") + tuple(
+    f"newton_{f.name}" for f in fields(NewtonWork)
+)
+
+
 def _record_solver(record: dict, diagnostics: dict) -> None:
     """Count one solver run, its ML-cost increases (descent violations) and
-    its Newton work (steps, eigen fallbacks, capped barrier stages, infeasible
-    stage-start predictions)."""
+    its Newton work, every ``NewtonWork`` field as ``newton_<field>``."""
     trace = diagnostics.get("cost_trace")
     if trace:
         record["solver_runs"] = 1
         record["descent_violations"] = sum(1 for a, b in zip(trace, trace[1:]) if b > a + 1e-9)
     newton = diagnostics.get("newton")
     if newton is not None:
-        record["newton_steps"] = newton.steps
-        record["newton_fallbacks"] = newton.fallbacks
-        record["newton_cap_hits"] = newton.cap_hits
-        record["newton_predictor_misses"] = newton.predictor_misses
+        record.update({f"newton_{k}": n for k, n in asdict(newton).items()})
 
 
 # Errors of the data (an ill-conditioned draw, a solver that cannot proceed):
@@ -574,13 +576,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         "seed": cfg.seed,
         "started_unix": started,
         "elapsed_s": time.time() - started,
-        "solver_runs": sum(rec.get("solver_runs", 0) for rec in records),
-        "descent_violations": sum(rec.get("descent_violations", 0) for rec in records),
+        **{key: sum(rec.get(key, 0) for rec in records) for key in SOLVER_COUNTERS},
         "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rec in records for rnd in rec.get("rounds", [])),
-        "newton_steps": sum(rec.get("newton_steps", 0) for rec in records),
-        "newton_fallbacks": sum(rec.get("newton_fallbacks", 0) for rec in records),
-        "newton_cap_hits": sum(rec.get("newton_cap_hits", 0) for rec in records),
-        "newton_predictor_misses": sum(rec.get("newton_predictor_misses", 0) for rec in records),
         "sbl_iters": sum(rnd["sbl_iters"] for rec in records for rnd in rec.get("rounds", [])),
         "cells": meta_cells,
     }

@@ -48,17 +48,12 @@ class SolverError(Exception):
     pass
 
 
-class LineSearchError(SolverError):
-    """Backtracking could not find an acceptable feasible step."""
-
-
-# Barrier schedule: mu from BARRIER_START down to BARRIER_STOP by BARRIER_FACTOR,
-# each stage at most MAX_NEWTON Newton steps of at most MAX_BACKTRACKS halvings.
-# The predicted start of the next stage gets at most PREDICTOR_HALVINGS halvings.
-BARRIER_START = 1e-2
-BARRIER_STOP = 1e-9
-BARRIER_FACTOR = 0.01
-NEWTON_TOL = 1e-9
+# Barrier path of every subproblem solve: one (mu, Newton tolerance) pair per
+# stage; the intermediate stages only track the central path loosely.  Each
+# stage takes at most MAX_NEWTON Newton steps of at most MAX_BACKTRACKS
+# halvings; the predicted start of the next stage gets at most
+# PREDICTOR_HALVINGS halvings.
+BARRIER_STAGES = ((1e-2, 1e-6), (1e-4, 1e-6), (1e-6, 1e-6), (1e-8, 1e-6), (1e-9, 1e-9))
 MAX_NEWTON = 80
 MAX_BACKTRACKS = 60
 PREDICTOR_HALVINGS = 3
@@ -70,13 +65,16 @@ class NewtonWork:
     Hessian evaluations, including the one that finds a stage converged),
     directions that fell back to the eigensolve in ``_solve_direction``,
     barrier stages stopped at ``MAX_NEWTON`` steps short of their tolerance,
-    and stage hand-offs whose predicted start stayed infeasible
-    (``_predict``), so the next stage started where the last one ended."""
+    stage hand-offs whose predicted start stayed infeasible (``_predict``),
+    so the next stage started where the last one ended, and line searches
+    that found no acceptable step in ``MAX_BACKTRACKS`` halvings, each of
+    which ended its solve's barrier path."""
 
     steps: int = 0
     fallbacks: int = 0
     cap_hits: int = 0
     predictor_misses: int = 0
+    line_search_failures: int = 0
 
 
 @dataclass
@@ -86,10 +84,10 @@ class MleConfig:
     ``lam`` is the noise variance fed to the model (assumed known).  The EM
     variant additionally uses ``lam_m`` for the latent sensors; when unset it
     defaults to ``1e3 * lam``.  The outer loop runs ``outer_iters`` subproblem
-    solves with no early stop.  The barrier schedule is module constants, so
-    no field sets anything in the subproblem solve.  ``newton`` is an output
-    only: every solve run with this config adds its Newton work to it, and it
-    never changes an iterate.
+    solves with no early stop.  The barrier path is the module's
+    ``BARRIER_STAGES`` table, so no field sets anything in the subproblem
+    solve.  ``newton`` is an output only: every solve run with this config
+    adds its Newton work to it, and it never changes an iterate.
     """
 
     lam: float = 1.0
@@ -244,40 +242,18 @@ class _BarrierProblem:
         return grad, half + half.T
 
 
-def _center_start(x: np.ndarray, mu0: float) -> np.ndarray:
-    """Push the path start into the cone interior compatible with mu0.
-
-    A standalone solve (no ``_Resume`` handed over) starts from its given
-    point, which may sit essentially on the PSD boundary, where
-    the barrier Hessian is numerically singular and Newton crawls.  Shifting
-    the zero lag (an exact spectrum shift of the Toeplitz embedding) lifts
-    its least eigenvalue to ``sqrt(mu0) * scale``, so even an infeasible
-    start becomes strictly feasible (``T(v)`` is a principal submatrix of
-    ``Toep(v)``).  The original start stays in the candidate set, so the
-    returned objective can only improve.
-    """
-    v = unpack_lags(x)
-    eig = nx.herm_eig(toeplitz_embed(v))
-    scale = max(float(eig.values[-1]), abs(v[0].real), 1e-12)
-    target = np.sqrt(mu0) * scale
-    gap = target - float(eig.values[0])
-    if gap > 0:
-        x = x.copy()
-        x[0] += gap
-    return x
-
-
 def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, tol: float,
                   work: NewtonWork):
     """Minimize f + mu * barrier from x, whose ``factors`` do not depend on mu.
 
     Damped Newton steps with a backtracking line search until the gradient
-    test passes, a step stalls below rounding, or ``MAX_NEWTON`` steps.
-    Returns (x, its factors, the Hessian at x or None when the last
-    accepted step moved x past it, best_f_seen, best_x).
+    test passes, a step stalls below rounding, ``MAX_NEWTON`` steps, or a
+    line search fails (counted in ``work``).  Returns (x, its factors, the
+    Hessian at x or None when the last accepted step moved x past it,
+    whether a line search failed); after a failure x is the last accepted
+    point.
     """
-    f_plain, f_mu = problem.value(x, mu, factors)
-    best_f, best_x = f_plain, x
+    f_mu = problem.value(x, mu, factors)[1]
     for _ in range(MAX_NEWTON):
         grad, hess = problem.grad_hess(x, mu, factors)
         work.steps += 1
@@ -290,28 +266,24 @@ def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, t
             step = -grad
             slope = -gnorm * gnorm
         t = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = x + t * step
             cand_factors = problem.factor(cand)
             if cand_factors is not None:
-                cand_plain, cand_mu = problem.value(cand, mu, cand_factors)
+                cand_mu = problem.value(cand, mu, cand_factors)[1]
                 if cand_mu <= f_mu + 0.25 * t * slope:
-                    x, factors = cand, cand_factors
-                    f_plain, f_mu = cand_plain, cand_mu
-                    accepted = True
                     break
             t *= 0.5
-        if not accepted:
-            raise LineSearchError("backtracking line search failed")
+        else:
+            work.line_search_failures += 1
+            return x, factors, hess, True
+        x, factors, f_mu = cand, cand_factors, cand_mu
         hess = None  # evaluated at the point x just left
-        if f_plain < best_f:
-            best_f, best_x = f_plain, x
         if -slope * t < 1e-16 * (1.0 + abs(f_mu)):
             break
     else:
         work.cap_hits += 1
-    return x, factors, hess, best_f, best_x
+    return x, factors, hess, False
 
 
 def _predict(problem: _BarrierProblem, x: np.ndarray, factors, hess: np.ndarray | None,
@@ -366,18 +338,25 @@ def _solve_direction(hess: np.ndarray, grad: np.ndarray, work: NewtonWork) -> np
 
 @dataclass
 class _Resume:
-    """Where the first barrier stage of an MM/EM run's last solve ended.
+    """Where the first barrier stage of a subproblem solve starts.
 
-    Consecutive subproblems of one run share the constraint ``Toep(v) >= 0``
-    and differ only in weights and data, so that point is strictly feasible
-    for the next solve and near its central path at ``BARRIER_START``.  An
-    MM/EM run seeds ``x`` with its start, the unit lag vector (``Toep = I``:
-    strictly feasible and central); a first stage that fails leaves ``x`` as
-    it was, still feasible for every later solve.  ``x`` is None only for a
-    standalone solve, which starts from ``_center_start``.
+    Consecutive subproblems of one MM/EM run share the constraint
+    ``Toep(v) >= 0`` and differ only in weights and data, so the point where
+    the last solve's first stage ended is strictly feasible for the next
+    solve and near its central path at the first stage's mu.  An MM/EM run
+    seeds ``x`` with its start, the unit lag vector (``Toep = I``: strictly
+    feasible and central), which is also where a standalone solve starts.
+    Each solve replaces ``x`` with the point its first stage ended on.
     """
 
-    x: np.ndarray | None = None
+    x: np.ndarray
+
+
+def _unit_lags(g: ArrayGeometry) -> np.ndarray:
+    """The unit lag vector of ``g``'s aperture (identity model, ``Toep = I``)."""
+    v = np.zeros(coarray(g).aperture, dtype=np.complex128)
+    v[0] = 1.0
+    return v
 
 
 def solve_subproblem(
@@ -388,55 +367,45 @@ def solve_subproblem(
 ) -> np.ndarray:
     """Solve the Toeplitz-constrained convex subproblem from any start.
 
-    Runs log-barrier continuation with damped Newton inner iterations.  The
-    returned point never has a larger objective than a feasible start: the
-    start and every accepted iterate are candidates and the best one wins.
-    ``cfg`` sets nothing here; the barrier schedule is module constants, and
-    the solve's Newton work is added to ``cfg.newton``.  The first stage
-    starts at ``resume.x`` when the MM loop hands one over, otherwise at
-    ``_center_start(start)``; the point it ends on replaces ``resume.x``.
-    Every later stage starts at ``_predict``'s central-path tangent point
-    from where the previous stage ended, or at that end point itself when no
-    predicted point is feasible (a counted ``predictor_misses``).
+    Walks the log-barrier path of ``BARRIER_STAGES`` with damped Newton
+    steps.  The first stage starts at ``resume.x`` when the MM loop hands
+    one over, otherwise at the unit lag vector, and the point it ends on
+    replaces ``resume.x``.  Every later stage starts at ``_predict``'s
+    central-path tangent point from where the previous stage ended, or at
+    that end point itself when no predicted point is feasible (a counted
+    ``predictor_misses``).  A failed line search (a counted
+    ``line_search_failures``) ends the path at its last accepted point.  The
+    result is the better of ``start``, when ``factor`` accepts it, and the
+    point the path ended on, so it never has a larger objective than a
+    feasible start.  ``cfg`` sets nothing here; the solve's Newton work is
+    added to ``cfg.newton``.
     """
-    x0 = pack_lags(np.asarray(start, dtype=np.complex128))
-    mu = BARRIER_START
     if resume is None:
-        resume = _Resume()
-    x = _center_start(x0, mu) if resume.x is None else resume.x
-    # Renormalize so the schedule sees an O(n)-scale objective.
+        resume = _Resume(pack_lags(_unit_lags(weights.geometry)))
+    x = resume.x
+    # Renormalize so the path sees an O(n)-scale objective.
     f_first = subproblem_objective(weights, unpack_lags(x))
     problem = _BarrierProblem(weights, max(1.0, f_first / (2.0 * weights.geometry.m)))
     factors = problem.factor(x)
     if factors is None:
         raise SolverError("infeasible start in Newton stage")
-
-    candidates: list[tuple[float, np.ndarray]] = []
+    x0 = pack_lags(np.asarray(start, dtype=np.complex128))
     start_factors = problem.factor(x0)
-    if start_factors is not None:
-        candidates.append((problem.value(x0, 1.0, start_factors)[0], x0))
-    while True:
-        final = mu <= BARRIER_STOP * (1.0 + 1e-12)
-        # Intermediate stages only need to track the central path loosely.
-        tol = NEWTON_TOL if final else max(NEWTON_TOL, 1e-6)
-        try:
-            x, factors, hess, stage_best_f, stage_best_x = _newton_stage(
-                problem, x, factors, mu, tol, cfg.newton
-            )
-        except LineSearchError:
-            if not candidates:
-                raise
-            break
-        candidates.append((stage_best_f, stage_best_x))
-        if mu == BARRIER_START:
-            resume.x = x
-        if final:
-            break
-        mu_next = max(mu * BARRIER_FACTOR, BARRIER_STOP)
-        x, factors = _predict(problem, x, factors, hess, mu, mu_next, cfg.newton)
-        mu = mu_next
 
-    return unpack_lags(min(candidates, key=lambda c: c[0])[1])
+    for k, (mu, tol) in enumerate(BARRIER_STAGES):
+        if k:
+            x, factors = _predict(problem, x, factors, hess, BARRIER_STAGES[k - 1][0], mu, cfg.newton)
+        x, factors, hess, failed = _newton_stage(problem, x, factors, mu, tol, cfg.newton)
+        if k == 0:
+            resume.x = x
+        if failed:
+            break
+
+    if start_factors is not None and (
+        problem.value(x0, 1.0, start_factors)[0] <= problem.value(x, 1.0, factors)[0]
+    ):
+        return unpack_lags(x0)
+    return unpack_lags(x)
 
 
 # -- outer MM loop ------------------------------------------------------------
@@ -465,15 +434,14 @@ def _majorize_minimize(
     ``outer_iters`` iterations takes the matrix to fit, ``fit_matrix(v)``,
     and solves one subproblem on ``fit_geometry`` majorizing the log-det term
     of ``T(v) + diag(noise)`` at ``v``.  The start ``v`` passed ``factor`` in
-    the last solve (same geometry and noise), so it is a candidate and a
-    failed line search returns the best point instead of raising.  Each solve
-    starts its barrier path where the previous one's first stage ended, the
-    first at ``v`` itself (``_Resume``, owned by this run).  The callback
+    the last solve (same geometry and noise), so a solve whose path ends
+    higher returns it.  Each solve starts its barrier path where the previous
+    one's first stage ended, the first at ``v`` itself (``_Resume``, owned by
+    this run).  The callback
     sees the ML cost of ``cfg.lam`` and the SCM ``r`` on the physical
     geometry ``g``, which is non-increasing along the iterates.
     """
-    v = np.zeros(coarray(fit_geometry).aperture, dtype=np.complex128)
-    v[0] = 1.0
+    v = _unit_lags(fit_geometry)
     if cfg.callback is not None:
         cfg.callback(0, v.copy(), ml_cost(v, cfg.lam, r, g))
     resume = _Resume(pack_lags(v))

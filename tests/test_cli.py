@@ -321,7 +321,10 @@ class TestRunExperiment:
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
         records = [rec for t in range(2) for rec in run_one_trial(cfg, 0, t)["results"].values()]
         assert len(records) == 8
-        for key in ("newton_steps", "newton_fallbacks", "newton_cap_hits", "newton_predictor_misses"):
+        for key in (
+            "newton_steps", "newton_fallbacks", "newton_cap_hits", "newton_predictor_misses",
+            "newton_line_search_failures",
+        ):
             assert meta[key] == sum(rec[key] for rec in records)
             for path in tmp_path.glob("*.csv"):
                 assert key not in path.read_text()

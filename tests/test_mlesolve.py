@@ -10,10 +10,8 @@ from gridlessdoa import numerics as nx
 from gridlessdoa.experiments import parse_config, run_one_trial
 from gridlessdoa.geometry import ArrayGeometry, coarray, structured_matrix, toeplitz_embed
 from gridlessdoa.mlesolve import (
-    BARRIER_START,
     _BarrierProblem,
     _Resume,
-    _center_start,
     CompletionPlan,
     MleConfig,
     SolverError,
@@ -30,7 +28,7 @@ from gridlessdoa.mlesolve import (
     subproblem_objective,
     unpack_lags,
 )
-from gridlessdoa.sigmodel import SourceScene, manifold, scm, simulate
+from gridlessdoa.sigmodel import SnapshotMatrix, SourceScene, manifold, scm, simulate
 
 GEOMETRIES = {
     "ula4": ArrayGeometry.ula(4),
@@ -180,7 +178,8 @@ class TestSolveSubproblem:
 
     def test_toeplitz_indefinite_start(self, rng):
         # Toep([1, 0, 2]) has eigenvalues -1, 1, 3, and T(v) + 0.4 I is
-        # indefinite too; the centred start alone must restore feasibility
+        # indefinite too; the path starts at the unit lag vector whatever
+        # the start, and an infeasible start is never returned
         g = ArrayGeometry.ula(3)
         lam = 0.4
         r = random_psd(rng, 3, load=0.1)
@@ -283,27 +282,6 @@ class TestBarrierNewtonSystem:
         assert np.abs(fd_hess - hess).max() <= 1e-7 * np.abs(hess).max()
 
 
-class TestCenterStart:
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        short_aperture_positions,
-        st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
-        st.floats(-8.0, 2.0).map(lambda e: 10.0**e),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_centred_start_is_feasible(self, positions, lag_scale, noise, seed):
-        # any lag vector, Toeplitz-indefinite ones included, comes out strictly
-        # feasible for both Cholesky factors the barrier needs
-        rng = np.random.default_rng(seed)
-        g = ArrayGeometry(positions)
-        weights = SubproblemWeights(
-            weight=random_psd(rng, g.m, load=0.1), noise_diag=np.full(g.m, noise),
-            data_matrix=random_psd(rng, g.m, load=0.1), geometry=g,
-        )
-        x = lag_scale * rng.standard_normal(2 * coarray(g).aperture - 1)
-        assert _BarrierProblem(weights).factor(_center_start(x, BARRIER_START)) is not None
-
-
 class TestBarrierFactor:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -367,8 +345,8 @@ class TestSolveSubproblemResult:
     )
     def test_result_passes_factor(self, positions, lag_scale, seed):
         # the MM loop starts each solve at the last result, under new weights
-        # and data but the same geometry and noise; that start is a candidate,
-        # so no solve fails its line search, only if it passes factor()
+        # and data but the same geometry and noise; that start is returned
+        # whenever the path ends higher, which is safe only if it passes factor()
         rng = np.random.default_rng(seed)
         g = ArrayGeometry(positions)
         noise = 0.2 + rng.random(g.m)
@@ -394,7 +372,8 @@ class TestResumedSolve:
     def test_resumed_solve_matches_cold_solve(self, positions, shift, seed):
         # the second of two MM-like solves: same geometry and noise, weights
         # and data moved by a relative ``shift``; resuming from the first
-        # solve's first-stage point reaches the cold solve's objective
+        # solve's first-stage point reaches the objective of the cold solve,
+        # whose path starts at the unit lag vector
         rng = np.random.default_rng(seed)
         g = ArrayGeometry(positions)
         noise = 0.2 + rng.random(g.m)
@@ -403,10 +382,11 @@ class TestResumedSolve:
         def weights(w, r):
             return SubproblemWeights(weight=w, noise_diag=noise, data_matrix=r, geometry=g)
 
-        resume = _Resume()
+        unit = pack_lags(mlesolve._unit_lags(g))
+        resume = _Resume(unit)
         start = random_feasible_lags(rng, g)
         v1 = solve_subproblem(weights(weight, data), start, MleConfig(), resume)
-        assert resume.x is not None
+        assert not np.array_equal(resume.x, unit)
         second = weights(
             weight + shift * random_psd(rng, g.m), data + shift * random_psd(rng, g.m)
         )
@@ -498,20 +478,40 @@ class TestStagePredictor:
         assert subproblem_objective(weights, v) <= subproblem_objective(weights, start)
 
 
-class TestCarriedStart:
-    def test_no_center_start_in_a_run(self, monkeypatch):
-        # the first solve resumes from the run's unit-lag start, every later
-        # one from the carried point
-        calls = []
-        centre = mlesolve._center_start
+class TestLineSearchFailure:
+    def test_failure_is_counted_and_ends_the_path(self, monkeypatch, rng):
+        # factor refuses every point tried inside the third stage, so its
+        # first line search fails: the path ends where that stage started,
+        # and the result is the better of that point and the start
+        stages, busy = TestStagePredictor.record_stages(monkeypatch)
+        factor = mlesolve._BarrierProblem.factor
         monkeypatch.setattr(
-            mlesolve, "_center_start", lambda x, mu: calls.append(mu) or centre(x, mu)
+            mlesolve._BarrierProblem, "factor",
+            lambda self, x: None if busy[0] and len(stages) == 2 else factor(self, x),
         )
+        g = ArrayGeometry((0, 1, 3))
+        weights, start = TestStagePredictor.weights(rng, g), random_feasible_lags(rng, g)
+        cfg = MleConfig(lam=0.4)
+        v = solve_subproblem(weights, start, cfg)
+        assert len(stages) == 3 and cfg.newton.line_search_failures == 1
+        end = stages[-1][1]
+        np.testing.assert_array_equal(end, stages[-1][0])
+        assert any(np.array_equal(v, w) for w in (start, unpack_lags(end)))
+        assert subproblem_objective(weights, v) <= subproblem_objective(weights, start)
+
+
+class TestCarriedStart:
+    def test_standalone_solve_starts_at_the_unit_lags(self, rng):
+        # a standalone solve walks the path of an MM/EM run's first solve
         g = ArrayGeometry((0, 1, 5, 6, 10, 11))
-        y = simulate(SourceScene.from_snr((-0.6, -0.1, 0.4), 15.0), g, 60, seed=21)
-        structcov_mle(scm(y), g, MleConfig(lam=1.0, outer_iters=6))
-        em_gridless(y, g, CompletionPlan.from_geometry(g), MleConfig(lam=1.0, outer_iters=6))
-        assert calls == []
+        weights = TestStagePredictor.weights(rng, g)
+        unit = np.zeros(coarray(g).aperture, dtype=complex)
+        unit[0] = 1.0
+        standalone, resumed = MleConfig(lam=0.4), MleConfig(lam=0.4)
+        want = solve_subproblem(weights, unit, standalone)
+        got = solve_subproblem(weights, unit, resumed, _Resume(pack_lags(unit)))
+        np.testing.assert_array_equal(got, want)
+        assert resumed.newton == standalone.newton and standalone.newton.steps > 0
 
     def test_runs_in_one_process_match_a_single_run(self):
         # the first-stage point is carried within one MM/EM run only
@@ -575,6 +575,38 @@ class TestStructcovMle:
             for v in iterates:
                 eig = nx.herm_eig(toeplitz_embed(v))
                 assert eig.values[0] >= -1e-8 * max(abs(v[0]), 1.0)
+
+
+class TestRandomRuns:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        short_aperture_positions,
+        st.integers(1, 12),
+        st.floats(-1.0, 2.0).map(lambda e: 10.0**e),
+        st.floats(-1.0, 0.5).map(lambda e: 10.0**e),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_iterates_feasible_and_descending(self, positions, snapshots, power, lam, seed):
+        # MM and EM runs on random on-grid geometries and random SCMs: every
+        # iterate passes ml_cost's feasibility check and the ML cost never rises
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(positions)
+        shape = (g.m, snapshots)
+        y = SnapshotMatrix(np.sqrt(power) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        runs = (
+            lambda cfg: structcov_mle(scm(y), g, cfg),
+            lambda cfg: em_gridless(y, g, CompletionPlan.from_geometry(g), cfg),
+        )
+        for run in runs:
+            costs: list[float] = []
+
+            def record(_k, v, cost):
+                mlesolve._check_toeplitz_feasible(v)
+                costs.append(cost)
+
+            run(MleConfig(lam=lam, outer_iters=4, callback=record))
+            assert len(costs) == 5
+            assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(costs, costs[1:]))
 
 
 class TestEmEstep:
