@@ -48,12 +48,14 @@ class SolverError(Exception):
     pass
 
 
-# Barrier path of every subproblem solve: one (mu, Newton tolerance) pair per
-# stage; the intermediate stages only track the central path loosely.  Each
-# stage takes at most MAX_NEWTON Newton steps of at most MAX_BACKTRACKS
-# halvings; the predicted start of the next stage gets at most
+# Barrier path of every subproblem solve: one (mu, bound on the squared Newton
+# decrement) row per stage, mu falling 10x.  Path following needs only loose
+# centring, lambda <= 1/10 (Boyd & Vandenberghe, Convex Optimization, 9.5.1 and
+# 11.5); bound 0 leaves the last stage to the stall rule, which fixes the point
+# to rounding.  Each stage takes at most MAX_NEWTON Newton steps of at most
+# MAX_BACKTRACKS halvings; the predicted start of the next stage gets at most
 # PREDICTOR_HALVINGS halvings.
-BARRIER_STAGES = ((1e-2, 1e-6), (1e-4, 1e-6), (1e-6, 1e-6), (1e-8, 1e-6), (1e-9, 1e-9))
+BARRIER_STAGES = tuple((10.0**-k, 1e-2) for k in range(2, 9)) + ((1e-9, 0.0),)
 MAX_NEWTON = 80
 MAX_BACKTRACKS = 60
 PREDICTOR_HALVINGS = 3
@@ -62,9 +64,9 @@ PREDICTOR_HALVINGS = 3
 @dataclass
 class NewtonWork:
     """Newton work of the subproblem solves: Newton steps (gradient and
-    Hessian evaluations, including the one that finds a stage converged),
-    directions that fell back to the eigensolve in ``_solve_direction``,
-    barrier stages stopped at ``MAX_NEWTON`` steps short of their tolerance,
+    Hessian evaluations, including the one whose Newton decrement ends a
+    stage), directions that fell back to the eigensolve in
+    ``_solve_direction``, barrier stages stopped at ``MAX_NEWTON`` steps,
     stage hand-offs whose predicted start stayed infeasible (``_predict``),
     so the next stage started where the last one ended, and line searches
     that found no acceptable step in ``MAX_BACKTRACKS`` halvings, each of
@@ -190,23 +192,23 @@ def subproblem_objective(weights: SubproblemWeights, v: np.ndarray) -> float:
 
 
 class _BarrierProblem:
-    """Barrier model of one subproblem, objective normalized to O(n) scale.
+    """Barrier model of one subproblem."""
 
-    Both objective terms are homogeneous in (W, R_fit), so dividing them by
-    a common factor rescales the objective without moving the minimizer.
-    Normalizing keeps the fixed barrier schedule meaningful regardless of
-    the data's power level; reported objective values are un-normalized.
-    """
-
-    def __init__(self, weights: SubproblemWeights, scale: float = 1.0):
+    def __init__(self, weights: SubproblemWeights):
         self.map = lag_map(weights.geometry.grid_positions())
         self.toep = lag_map(tuple(range(self.map.aperture)))
-        self.scale = max(float(scale), 1e-300)
-        self.weight = nx.hermitian_part(weights.weight) / self.scale
         self.noise = np.diag(np.asarray(weights.noise_diag, dtype=np.float64))
-        self.data = nx.hermitian_part(weights.data_matrix) / self.scale
-        self.g_lin = pack_lags(self.map.adjoint(self.weight))
+        self.data = nx.hermitian_part(weights.data_matrix)
+        self.g_lin = pack_lags(self.map.adjoint(nx.hermitian_part(weights.weight)))
         self.v1, self.v2 = lag_projections(self.map.aperture)
+
+    def normalize(self, x: np.ndarray, factors) -> None:
+        """Divide the objective by ``max(1, f(x) / 2n)``.  Both terms are
+        homogeneous in (W, R_fit), so the minimizer stays put and the fixed
+        barrier table means the same whatever the data's power level."""
+        scale = max(1.0, self.value(x, 0.0, factors)[0] / (2.0 * len(self.noise)))
+        self.g_lin = self.g_lin / scale
+        self.data = self.data / scale
 
     def factor(self, x: np.ndarray):
         """``(P, L)`` at x, with ``P = (Map+D)^-1`` and L the Cholesky factor
@@ -226,45 +228,49 @@ class _BarrierProblem:
         return f, f - mu * nx.logdet_from_factor(low_t)
 
     def grad_hess(self, x: np.ndarray, mu: float, factors):
-        """Gradient and Hessian at x.  Both Hessian blocks, tr(B_a P B_b P R P)
-        and mu tr(C_a T^-1 C_b T^-1), are 2-D lag correlations read off DFTs on
-        the aperture grid (``lag_projections``)."""
+        """Gradient, Hessian and ``-grad phi`` (phi = -log det Toep) at x.
+        Both Hessian blocks, tr(B_a P B_b P R P) and mu tr(C_a T^-1 C_b T^-1),
+        are 2-D lag correlations read off DFTs on the aperture grid
+        (``lag_projections``)."""
         p, low_t = factors
         g2 = p @ self.data @ p
         tinv = nx.inv_from_factor(low_t)
-        grad = self.g_lin - pack_lags(self.map.adjoint(g2) + mu * self.toep.adjoint(tinv))
+        neg_grad_phi = pack_lags(self.toep.adjoint(tinv))
+        grad = self.g_lin - pack_lags(self.map.adjoint(g2)) - mu * neg_grad_phi
 
         w_map, w_toep = self.map.dft, self.toep.dft
         p_hat, g_hat = w_map @ np.array((p, g2)) @ w_map.T
         t_hat = w_toep @ tinv @ w_toep.T
         z = np.real(p_hat * g_hat.conj()) + (0.5 * mu) * np.abs(t_hat) ** 2
         half = self.v1.T @ z @ self.v2
-        return grad, half + half.T
+        return grad, half + half.T, neg_grad_phi
 
 
 def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, tol: float,
                   work: NewtonWork):
-    """Minimize f + mu * barrier from x, whose ``factors`` do not depend on mu.
+    """Minimize F_mu = f + mu * barrier from x, whose ``factors`` do not
+    depend on mu.
 
-    Damped Newton steps with a backtracking line search until the gradient
-    test passes, a step stalls below rounding, ``MAX_NEWTON`` steps, or a
-    line search fails (counted in ``work``).  Returns (x, its factors, the
-    Hessian at x or None when the last accepted step moved x past it,
-    whether a line search failed); after a failure x is the last accepted
-    point.
+    Damped Newton steps with a backtracking line search until the squared
+    Newton decrement ``-grad F_mu . dx / mu`` is at most ``tol`` (tested
+    before the line search, so a centred start makes no trial point), a
+    step stalls below rounding, ``MAX_NEWTON`` steps, or a line search fails
+    (counted in ``work``).  Returns (x, its factors, ``grad_hess``'s Hessian
+    and ``-grad phi`` at x or None when the last accepted step moved x past
+    them, whether a line search failed); after a failure x is the last
+    accepted point.
     """
     f_mu = problem.value(x, mu, factors)[1]
     for _ in range(MAX_NEWTON):
-        grad, hess = problem.grad_hess(x, mu, factors)
+        grad, *derivs = problem.grad_hess(x, mu, factors)
         work.steps += 1
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol * (1.0 + abs(f_mu)):
-            break
-        step = _solve_direction(hess, grad, work)
+        step = _solve_direction(derivs[0], grad, work)
         slope = float(grad @ step)
         if slope >= 0:  # rounding gave a non-descent direction; use steepest
             step = -grad
-            slope = -gnorm * gnorm
+            slope = -float(grad @ grad)
+        if -slope <= tol * mu:
+            break
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             cand = x + t * step
@@ -276,34 +282,35 @@ def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, t
             t *= 0.5
         else:
             work.line_search_failures += 1
-            return x, factors, hess, True
+            return x, factors, derivs, True
         x, factors, f_mu = cand, cand_factors, cand_mu
-        hess = None  # evaluated at the point x just left
+        derivs = None  # evaluated at the point x just left
         if -slope * t < 1e-16 * (1.0 + abs(f_mu)):
             break
     else:
         work.cap_hits += 1
-    return x, factors, hess, False
+    return x, factors, derivs, False
 
 
-def _predict(problem: _BarrierProblem, x: np.ndarray, factors, hess: np.ndarray | None,
-             mu: float, mu_next: float, work: NewtonWork):
+def _predict(problem: _BarrierProblem, x: np.ndarray, factors, derivs, mu: float,
+             mu_next: float, work: NewtonWork):
     """Start of the next barrier stage: the central-path tangent point.
 
     Along the central path ``grad f + mu grad phi = 0`` (phi = -log det Toep),
     so ``dx/dmu = -H_mu^-1 grad phi`` and the first-order point for
-    ``mu_next`` is ``x + (mu - mu_next) H_mu^-1 grad phi(x)``, with ``H_mu``
-    the stage's Newton Hessian at x (computed here, and counted as a step,
+    ``mu_next`` is ``x + (mu - mu_next) H_mu^-1 grad phi(x)``, taken at the
+    stage's end x, which is only near x(mu).  ``derivs`` are the stage's
+    ``H_mu`` and ``-grad phi`` at x (computed here, and counted as a step,
     when the stage has none at x).  The step is halved until ``factor``
     accepts it, at most ``PREDICTOR_HALVINGS`` times; when none is feasible
     the miss is counted and the stage's end point is returned.  Returns the
     start and its factors.
     """
-    if hess is None:
-        _, hess = problem.grad_hess(x, mu, factors)
+    if derivs is None:
+        derivs = problem.grad_hess(x, mu, factors)[1:]
         work.steps += 1
-    # -grad phi = pack(Toep^*(T^-1)); _solve_direction returns -H^-1 of its argument.
-    neg_grad_phi = pack_lags(problem.toep.adjoint(nx.inv_from_factor(factors[1])))
+    hess, neg_grad_phi = derivs
+    # _solve_direction returns -H^-1 of its argument.
     step = (mu - mu_next) * _solve_direction(hess, neg_grad_phi, work)
     for _ in range(PREDICTOR_HALVINGS + 1):
         cand = x + step
@@ -368,9 +375,11 @@ def solve_subproblem(
     """Solve the Toeplitz-constrained convex subproblem from any start.
 
     Walks the log-barrier path of ``BARRIER_STAGES`` with damped Newton
-    steps.  The first stage starts at ``resume.x`` when the MM loop hands
-    one over, otherwise at the unit lag vector, and the point it ends on
-    replaces ``resume.x``.  Every later stage starts at ``_predict``'s
+    steps, each non-final stage ending on its Newton decrement and the last
+    on the stall rule.  The first stage starts at ``resume.x`` when the MM
+    loop hands one over, otherwise at the unit lag vector; that point's
+    ``factor`` result normalizes the objective, and the point the stage ends
+    on replaces ``resume.x``.  Every later stage starts at ``_predict``'s
     central-path tangent point from where the previous stage ended, or at
     that end point itself when no predicted point is feasible (a counted
     ``predictor_misses``).  A failed line search (a counted
@@ -383,19 +392,18 @@ def solve_subproblem(
     if resume is None:
         resume = _Resume(pack_lags(_unit_lags(weights.geometry)))
     x = resume.x
-    # Renormalize so the path sees an O(n)-scale objective.
-    f_first = subproblem_objective(weights, unpack_lags(x))
-    problem = _BarrierProblem(weights, max(1.0, f_first / (2.0 * weights.geometry.m)))
+    problem = _BarrierProblem(weights)
     factors = problem.factor(x)
     if factors is None:
         raise SolverError("infeasible start in Newton stage")
+    problem.normalize(x, factors)
     x0 = pack_lags(np.asarray(start, dtype=np.complex128))
     start_factors = problem.factor(x0)
 
     for k, (mu, tol) in enumerate(BARRIER_STAGES):
         if k:
-            x, factors = _predict(problem, x, factors, hess, BARRIER_STAGES[k - 1][0], mu, cfg.newton)
-        x, factors, hess, failed = _newton_stage(problem, x, factors, mu, tol, cfg.newton)
+            x, factors = _predict(problem, x, factors, derivs, BARRIER_STAGES[k - 1][0], mu, cfg.newton)
+        x, factors, derivs, failed = _newton_stage(problem, x, factors, mu, tol, cfg.newton)
         if k == 0:
             resume.x = x
         if failed:
