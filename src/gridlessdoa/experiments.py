@@ -63,7 +63,7 @@ CONFIG_KEYS = {
     "estimators": f"comma-separated subset of {', '.join(ESTIMATORS)}; scm-music and fb-music"
     " need a ULA (positions 0..m-1), structcovmle, em, method1 and method2 integer positions",
     "sweep.axis": f"one of {', '.join(SWEEP_AXES)}",
-    "sweep.values": "comma-separated axis values (nonempty unless axis=none)",
+    "sweep.values": "comma-separated axis values (nonempty; absent when axis=none)",
     "solver.iter": "outer MM iterations, >= 1 (default 20)",
     "solver.lambda": "noise variance fed to the solver, > 0 (default 1.0)",
     "solver.lambda_m_factor": "latent-sensor noise multiplier, > 0 (default 1000)",
@@ -201,6 +201,8 @@ def parse_config(text: str) -> ExperimentConfig:
         _fail("sweep.axis", f"{axis!r} is not a known axis")
     values = floats("sweep.values") if "sweep.values" in raw else tuple()
     if axis == "none":
+        if "sweep.values" in raw:
+            _fail("sweep.values", "given, but sweep.axis is none (or unset), which runs no sweep")
         values = (math.nan,)
     elif not values:
         _fail("sweep.values", "must be nonempty for a sweeping axis")

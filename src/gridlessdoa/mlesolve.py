@@ -63,10 +63,11 @@ PREDICTOR_HALVINGS = 3
 
 @dataclass
 class NewtonWork:
-    """Newton work of the subproblem solves: Newton steps (gradient and
-    Hessian evaluations, including the one whose Newton decrement ends a
-    stage), directions that fell back to the eigensolve in
-    ``_solve_direction``, barrier stages stopped at ``MAX_NEWTON`` steps,
+    """Newton work of the subproblem solves: Newton systems solved
+    (``steps``, including the one whose Newton decrement ends a stage),
+    systems whose real solve in ``_solve_direction`` was singular,
+    non-finite or did not descend, so the step and the tangent came from the
+    eigensolve (``fallbacks``), barrier stages stopped at ``MAX_NEWTON`` steps,
     stage hand-offs whose predicted start stayed infeasible (``_predict``),
     so the next stage started where the last one ended, and line searches
     that found no acceptable step in ``MAX_BACKTRACKS`` halvings, each of
@@ -255,20 +256,17 @@ def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, t
     Newton decrement ``-grad F_mu . dx / mu`` is at most ``tol`` (tested
     before the line search, so a centred start makes no trial point), a
     step stalls below rounding, ``MAX_NEWTON`` steps, or a line search fails
-    (counted in ``work``).  Returns (x, its factors, ``grad_hess``'s Hessian
-    and ``-grad phi`` at x or None when the last accepted step moved x past
-    them, whether a line search failed); after a failure x is the last
-    accepted point.
+    (counted in ``work``).  Returns (x, its factors, the central-path
+    tangent ``H_mu^-1 grad phi`` of the last Newton system solved, whether a
+    line search failed); after a failure x is the last accepted point.  The
+    tangent was solved at x unless the last accepted step moved x past it.
     """
     f_mu = problem.value(x, mu, factors)[1]
     for _ in range(MAX_NEWTON):
-        grad, *derivs = problem.grad_hess(x, mu, factors)
+        grad, hess, neg_grad_phi = problem.grad_hess(x, mu, factors)
         work.steps += 1
-        step = _solve_direction(derivs[0], grad, work)
+        step, tangent = _solve_direction(hess, grad, neg_grad_phi, work)
         slope = float(grad @ step)
-        if slope >= 0:  # rounding gave a non-descent direction; use steepest
-            step = -grad
-            slope = -float(grad @ grad)
         if -slope <= tol * mu:
             break
         t = 1.0
@@ -282,36 +280,29 @@ def _newton_stage(problem: _BarrierProblem, x: np.ndarray, factors, mu: float, t
             t *= 0.5
         else:
             work.line_search_failures += 1
-            return x, factors, derivs, True
+            return x, factors, tangent, True
         x, factors, f_mu = cand, cand_factors, cand_mu
-        derivs = None  # evaluated at the point x just left
         if -slope * t < 1e-16 * (1.0 + abs(f_mu)):
             break
     else:
         work.cap_hits += 1
-    return x, factors, derivs, False
+    return x, factors, tangent, False
 
 
-def _predict(problem: _BarrierProblem, x: np.ndarray, factors, derivs, mu: float,
-             mu_next: float, work: NewtonWork):
-    """Start of the next barrier stage: the central-path tangent point.
+def _predict(problem: _BarrierProblem, x: np.ndarray, factors, tangent: np.ndarray, dmu: float,
+             work: NewtonWork):
+    """Start of the next barrier stage, ``dmu`` lower: the central-path
+    tangent point.
 
     Along the central path ``grad f + mu grad phi = 0`` (phi = -log det Toep),
     so ``dx/dmu = -H_mu^-1 grad phi`` and the first-order point for
-    ``mu_next`` is ``x + (mu - mu_next) H_mu^-1 grad phi(x)``, taken at the
-    stage's end x, which is only near x(mu).  ``derivs`` are the stage's
-    ``H_mu`` and ``-grad phi`` at x (computed here, and counted as a step,
-    when the stage has none at x).  The step is halved until ``factor``
-    accepts it, at most ``PREDICTOR_HALVINGS`` times; when none is feasible
-    the miss is counted and the stage's end point is returned.  Returns the
-    start and its factors.
+    ``mu - dmu`` is ``x + dmu * tangent`` with ``tangent = H_mu^-1 grad phi``
+    from the stage's last Newton system, taken at the stage's end x, which is
+    only near x(mu).  The step is halved until ``factor`` accepts it, at most
+    ``PREDICTOR_HALVINGS`` times; when none is feasible the miss is counted
+    and the stage's end point is returned.  Returns the start and its factors.
     """
-    if derivs is None:
-        derivs = problem.grad_hess(x, mu, factors)[1:]
-        work.steps += 1
-    hess, neg_grad_phi = derivs
-    # _solve_direction returns -H^-1 of its argument.
-    step = (mu - mu_next) * _solve_direction(hess, neg_grad_phi, work)
+    step = dmu * tangent
     for _ in range(PREDICTOR_HALVINGS + 1):
         cand = x + step
         cand_factors = problem.factor(cand)
@@ -322,25 +313,30 @@ def _predict(problem: _BarrierProblem, x: np.ndarray, factors, derivs, mu: float
     return x, factors
 
 
-def _solve_direction(hess: np.ndarray, grad: np.ndarray, work: NewtonWork) -> np.ndarray:
-    # The Hessian is PSD by construction (convex data term plus barrier), so
-    # an undamped factorization normally succeeds and artificial damping
-    # would only blunt the Newton step where the barrier curvature is large.
-    # The factorization, in real arithmetic, is the definiteness test; the
-    # step is one real solve.
+def _solve_direction(hess: np.ndarray, grad: np.ndarray, neg_grad_phi: np.ndarray,
+                     work: NewtonWork) -> np.ndarray:
+    """Rows: the Newton step ``-H^-1 grad`` and the central-path tangent
+    ``H^-1 grad phi``, from one real solve with both right-hand sides.
+
+    The Hessian is PSD by construction (convex data term plus barrier), so
+    the solve normally gives a descent step, and artificial damping would
+    only blunt it where the barrier curvature is large.  When rounding makes
+    the solve singular, or its step is not finite or does not descend, both
+    rows come from the eigenbasis with the noise floor clipped relative to
+    the dominant curvature, which always descends (counted in ``work``).
+    """
+    rhs = np.array((grad, neg_grad_phi)).T
     try:
-        nx.chol_factor(hess)
-        return -np.linalg.solve(hess, grad)
-    except nx.NotPositiveDefiniteError:
+        out = -np.linalg.solve(hess, rhs).T
+        if -np.inf < float(grad @ out[0]) < 0:  # also false for a non-finite step
+            return out
+    except np.linalg.LinAlgError:
         pass
-    # Rounding made it indefinite: solve in the eigenbasis with the noise
-    # floor clipped relative to the dominant curvature.
     work.fallbacks += 1
-    eig = nx.herm_eig(0.5 * (hess + hess.T))
+    eig = nx.herm_eig(hess)
     floor = max(eig.values[-1], 1.0) * 1e-14
-    inv = 1.0 / np.maximum(eig.values, floor)
     vec = eig.vectors
-    return -np.real((vec * inv) @ (vec.conj().T @ grad))
+    return -np.real((vec / np.maximum(eig.values, floor)) @ (vec.conj().T @ rhs)).T
 
 
 @dataclass
@@ -402,8 +398,8 @@ def solve_subproblem(
 
     for k, (mu, tol) in enumerate(BARRIER_STAGES):
         if k:
-            x, factors = _predict(problem, x, factors, derivs, BARRIER_STAGES[k - 1][0], mu, cfg.newton)
-        x, factors, derivs, failed = _newton_stage(problem, x, factors, mu, tol, cfg.newton)
+            x, factors = _predict(problem, x, factors, tangent, BARRIER_STAGES[k - 1][0] - mu, cfg.newton)
+        x, factors, tangent, failed = _newton_stage(problem, x, factors, mu, tol, cfg.newton)
         if k == 0:
             resume.x = x
         if failed:

@@ -137,6 +137,7 @@ class TestParseConfig:
             ("sweep.axis = snapshots\nsweep.values = 2.5", "sweep.values"),
             ("sweep.axis = rho_abs\nsweep.values = 1.5", "sweep.values"),
             ("sweep.values = 10,nan", "sweep.values"),
+            ("sweep.axis = none", "sweep.values"),
             ("scene.rho_abs = 0.9\nscene.rho_phase = inf", "scene.rho_phase"),
             ("scene.rho_abs = 1.5", "scene.*"),
             ("scene.u = -0.5,1.5", "scene.*"),
@@ -338,7 +339,8 @@ class TestRunExperiment:
 
     def test_svg_without_sweep_axis_draws_no_nan(self, tmp_path):
         # axis = none has the single x value NaN, so no point can be drawn
-        cfg = parse_config(BASE_CONFIG.replace("sweep.axis = snr_db", "sweep.axis = none"))
+        text = BASE_CONFIG.replace("sweep.axis = snr_db", "sweep.axis = none")
+        cfg = parse_config(text.replace("sweep.values = 10,20\n", ""))
         run_experiment(cfg, tmp_path, svg=True)
         assert (tmp_path / "tiny_summary.csv").exists()
         assert not (tmp_path / "tiny.svg").exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlessdoa import experiments
 from gridlessdoa.estimate import EstimateError, music_spectrum, root_music, vandermonde_decompose
@@ -73,6 +75,31 @@ class TestRootMusic:
     def test_rejects_k_not_less_than_order(self):
         with pytest.raises(EstimateError):
             root_music(np.eye(3, dtype=complex), 3)
+
+
+@st.composite
+def separated_ula_scenes(draw):
+    """A ULA order, k <= order/2 directions at least 2.5/order apart (also
+    across u = +-1, which alias), their powers and a noise floor."""
+    order = draw(st.integers(4, 16))
+    k = draw(st.integers(1, order // 2))
+    sep = 2.5 / order
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    gaps = sep + (2.0 - k * sep) * weights / weights.sum()  # the last one wraps round
+    start = -1.0 + gaps[-1] * draw(st.floats(0.25, 0.75))
+    u = start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    powers = draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k))
+    noise = draw(st.floats(-3.0, 0.0).map(lambda e: 10.0**e))
+    return order, u, powers, noise
+
+
+class TestRootMusicRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(separated_ula_scenes())
+    def test_exact_covariance_gives_the_directions(self, scene):
+        order, u, powers, noise = scene
+        r = scene_covariance(u, powers, ArrayGeometry.ula(order), noise)
+        np.testing.assert_allclose(root_music(r, len(u)).u, u, rtol=0, atol=1e-9)
 
 
 class TestMusicSpectrum:

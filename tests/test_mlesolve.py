@@ -461,8 +461,8 @@ class TestStagePredictor:
         hand_offs = {
             "tangent": predict,
             "none": lambda problem, x, factors, *_: (x, factors),
-            "flipped": lambda problem, x, factors, derivs, mu, mu_next, work: predict(
-                problem, x, factors, derivs, mu, 2.0 * mu - mu_next, work
+            "flipped": lambda problem, x, factors, tangent, dmu, work: predict(
+                problem, x, factors, tangent, -dmu, work
             ),
         }
         steps = {}
@@ -484,8 +484,8 @@ class TestStagePredictor:
         x = pack_lags(random_feasible_lags(rng, g))
         mu, tol = mlesolve.BARRIER_STAGES[0]
         work = mlesolve.NewtonWork()
-        x, factors, derivs, failed = mlesolve._newton_stage(problem, x, problem.factor(x), mu, tol, work)
-        assert derivs is not None and not failed and work.steps > 1
+        x, factors, tangent, failed = mlesolve._newton_stage(problem, x, problem.factor(x), mu, tol, work)
+        assert tangent.shape == x.shape and not failed and work.steps > 1
         calls = []
         factor = mlesolve._BarrierProblem.factor
         monkeypatch.setattr(
@@ -514,6 +514,84 @@ class TestStagePredictor:
         for (_, prev_end), (next_start, _) in zip(stages, stages[1:]):
             np.testing.assert_array_equal(next_start, prev_end)
         assert subproblem_objective(weights, v) <= subproblem_objective(weights, start)
+
+
+class TestFactorizations:
+    def test_every_cholesky_in_a_solve_is_a_trial_point(self, monkeypatch, rng):
+        # perfbench's solve_subproblem.factorizations counts the chol_factor
+        # calls made inside each solve: each one is a barrier trial point
+        # (_BarrierProblem.factor), none a Newton Hessian
+        counts, inside = [], [False]
+        solve = mlesolve.solve_subproblem
+
+        def counted_solve(*args):
+            counts.append([0, 0])
+            inside[0] = True
+            try:
+                return solve(*args)
+            finally:
+                inside[0] = False
+
+        def counted(fn, i):
+            def wrapper(*args):
+                if inside[0]:
+                    counts[-1][i] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(mlesolve, "solve_subproblem", counted_solve)
+        monkeypatch.setattr(nx, "chol_factor", counted(nx.chol_factor, 0))
+        monkeypatch.setattr(_BarrierProblem, "factor", counted(_BarrierProblem.factor, 1))
+        g = ArrayGeometry((0, 1, 5, 6, 10, 11))
+        weights = TestStagePredictor.weights(rng, g)
+        mlesolve.solve_subproblem(weights, random_feasible_lags(rng, g), MleConfig(lam=0.4))
+        y = simulate(SourceScene.from_snr((-0.6, -0.1, 0.4), 15.0), g, 60, seed=21)
+        structcov_mle(scm(y), g, MleConfig(lam=1.0, outer_iters=3))
+        assert len(counts) == 4
+        assert all(chol == factor > 0 for chol, factor in counts), counts
+
+
+class TestSolveDirection:
+    @staticmethod
+    def solve(hess, grad, neg_grad_phi):
+        work = mlesolve.NewtonWork()
+        step, tangent = mlesolve._solve_direction(hess, grad, neg_grad_phi, work)
+        return step, tangent, work.fallbacks
+
+    @staticmethod
+    def symmetric(eigenvalues, rng):
+        q = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))[0]
+        return (q * eigenvalues) @ q.T, q
+
+    def assert_falls_back_and_descends(self, hess, grad, neg_grad_phi):
+        step, tangent, fallbacks = self.solve(hess, grad, neg_grad_phi)
+        assert fallbacks == 1
+        assert np.isfinite(step).all() and np.isfinite(tangent).all()
+        assert float(grad @ step) < 0
+
+    def test_positive_definite_takes_the_real_solve(self, rng):
+        hess, _ = self.symmetric(np.array([0.5, 1.0, 2.0, 4.0, 8.0]), rng)
+        grad, neg_grad_phi = rng.standard_normal((2, 5))
+        step, tangent, fallbacks = self.solve(hess, grad, neg_grad_phi)
+        want = np.linalg.solve(hess, np.column_stack((grad, neg_grad_phi)))
+        np.testing.assert_allclose(step, -want[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tangent, -want[:, 1], rtol=1e-12, atol=0)
+        assert fallbacks == 0
+
+    def test_ascending_step_falls_back(self, rng):
+        # the gradient lies along the negative curvature, so the solved step
+        # -H^-1 grad ascends
+        hess, q = self.symmetric(np.array([-1.0, 1.0, 2.0, 3.0, 4.0]), rng)
+        grad = q[:, 0] + 1e-3 * q[:, 1]
+        assert float(grad @ np.linalg.solve(hess, grad)) < 0
+        self.assert_falls_back_and_descends(hess, grad, rng.standard_normal(5))
+
+    def test_singular_solve_falls_back(self, rng):
+        hess = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hess, np.ones(3))
+        self.assert_falls_back_and_descends(hess, *rng.standard_normal((2, 3)))
 
 
 class TestLineSearchFailure:
