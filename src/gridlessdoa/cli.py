@@ -21,8 +21,12 @@ from .estimate import music_spectrum
 
 
 def _load_config(path: str) -> xp.ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return xp.parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise xp.ConfigError(f"--config {path}: {exc}") from None
+    return xp.parse_config(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -172,7 +176,7 @@ def main(argv=None) -> int:
         parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
-    except (xp.ConfigError, GeometryError, FileNotFoundError) as exc:
+    except (xp.ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -66,7 +66,8 @@ CONFIG_KEYS = {
     "sweep.values": "comma-separated axis values (nonempty; absent when axis=none)",
     "solver.iter": "outer MM iterations, >= 1 (default 20)",
     "solver.lambda": "noise variance fed to the solver, > 0 (default 1.0)",
-    "solver.lambda_m_factor": "latent-sensor noise multiplier, > 0 (default 1000)",
+    "solver.lambda_m_factor": "latent-sensor noise multiplier, > 0 (default 1000); "
+    "sets how fast em converges, not where",
     "refine.grid_size": "initial uniform grid size, >= 1 (default 150)",
     "refine.g_factor": "per-round resolution factor, > 1 (default 3)",
     "refine.gamma_thresh": "pruning threshold, >= 0 (default 1e-3)",

@@ -5,9 +5,9 @@ cost ``log det(C) + tr(C^{-1} R)`` with ``C = Phi diag(gamma) Phi^H +
 lam I`` is minimized by the multi-snapshot fixed point ``gamma_i <- gamma_i
 q_i / s_i`` (M-SBL, Wipf & Rao 2007), with ``q_i = phi_i^H C^{-1} R C^{-1}
 phi_i`` and ``s_i = phi_i^H C^{-1} phi_i`` from one Cholesky factor of C.
-Where that step raises the cost the EM step ``gamma_i + gamma_i^2 (q_i -
-s_i)``, which never does beyond rounding, is taken instead; a run ends where
-that one raises it too.
+That step is the only one.  A run stops on a small relative drop in the
+cost, on a rise (in every run measured, only rounding in the cost of an
+ill-conditioned C brought one), or at its iteration cap.
 """
 
 from __future__ import annotations
@@ -79,22 +79,6 @@ def qs_columns(phi: np.ndarray, cinv: np.ndarray, r: np.ndarray) -> tuple[np.nda
     return np.einsum("mg,mg->g", a.conj(), r @ a).real, np.einsum("mg,mg->g", phi.conj(), a).real
 
 
-def _em_step(gamma: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.maximum(gamma + gamma**2 * (q - s), 0.0)
-
-
-def sbl_em_update(state: SblState, r: np.ndarray) -> np.ndarray:
-    """One EM iteration: the updated gamma from the SCM ``r``.
-
-    ``||xhat_i||^2 / L = gamma_i^2 q_i`` and ``tau_i = gamma_i - gamma_i^2 s_i``
-    sum to ``gamma_i + gamma_i^2 (q_i - s_i)``.  Zero entries of gamma are
-    absorbing.
-    """
-    phi = state.dictionary
-    cinv = nx.inv_pd(state.model_covariance())
-    return _em_step(state.gamma, *qs_columns(phi, cinv, np.asarray(r)))
-
-
 def sbl_run(
     g: ArrayGeometry,
     grid: np.ndarray,
@@ -104,19 +88,18 @@ def sbl_run(
     tol: float = 1e-6,
     cost_trace: list[float] | None = None,
 ) -> SblState:
-    """Run fixed-point SBL, with EM as its fallback, to a cost stop or the cap.
+    """Run fixed-point SBL to a cost stop or the cap.
 
     Each iteration factors the model covariance of a trial gamma once and
-    reads the trial's cost from that factor.  An accepted trial proposes the
-    next, ``gamma * q / s``; a fixed-point trial that raised the cost is
-    rejected, uses up its iteration, and the EM step from the last accepted
-    gamma is tried next.  The run stops when an accepted trial lowers the
+    reads the trial's cost from that factor; the next trial is ``gamma * q /
+    s`` of the last accepted one.  The run stops when a trial lowers the
     cost by less than ``tol`` times the decrease since the start (a data
-    scale shifts the cost, not its decreases), or when the EM trial raised
-    it too, which only rounding in the cost can do.  Either way it returns
-    the last accepted gamma.  ``iters`` counts iterations and ``capped`` says
-    the cap stopped the run; ``cost_trace`` gets each iteration's accepted
-    cost, which never rises.
+    scale shifts the cost, not its decreases), or when a trial raises the
+    cost, which in every run measured came only from rounding in the cost
+    of an ill-conditioned C.  Either way it returns the last accepted
+    gamma.  ``iters`` counts iterations and ``capped`` says the cap stopped
+    the run; ``cost_trace`` gets each iteration's accepted cost, which never
+    rises.
     """
     if max_iters < 1:
         raise SblError("max_iters must be at least 1")
@@ -124,26 +107,21 @@ def sbl_run(
     r = scm(y)
     phi, phi_h = state.dictionary, state.dictionary.conj().T
     lam_eye = state.lam * np.eye(phi.shape[0])
-    trial, fallback, cost = state.gamma, False, np.inf
+    trial, cost = state.gamma, np.inf
     for it in range(1, max_iters + 1):
         low = nx.chol_factor((phi * trial) @ phi_h + lam_eye)
         cinv = nx.inv_from_factor(low)
         trial_cost = nx.logdet_from_factor(low) + float(np.vdot(cinv, r).real)
-        rejected = trial_cost > cost
-        if not rejected:
+        rose = trial_cost > cost
+        if not rose:
             drop, gamma, cost = cost - trial_cost, trial, trial_cost
             start = cost if it == 1 else start
         if cost_trace is not None:
             cost_trace.append(cost)
-        if rejected and fallback:
-            return replace(state, gamma=gamma, iters=it)
-        if rejected:
-            trial, fallback = _em_step(gamma, q, s), True
-            continue
-        if drop < tol * (start - cost):
+        if rose or drop < tol * (start - cost):
             return replace(state, gamma=gamma, iters=it)
         q, s = qs_columns(phi, cinv, r)
-        trial, fallback = gamma * q / s, False
+        trial = gamma * q / s
     return replace(state, gamma=gamma, iters=max_iters, capped=True)
 
 

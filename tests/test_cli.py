@@ -372,6 +372,20 @@ class TestCliMain:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "describe-geometry"])
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "configs"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe")
+        args = [command, "--config", str(path)]
+        if command == "sweep":
+            args += ["--out", str(tmp_path)]
+        assert main(args) == 2
+        assert f"config error: --config {path}" in capsys.readouterr().err
+
     def test_describe_geometry(self, capsys):
         assert main(["describe-geometry", "--positions", "0,1,5,6,10,11"]) == 0
         out = capsys.readouterr().out

@@ -847,6 +847,28 @@ class TestEmGridless:
         assert hole_gap > 1e-4  # the data genuinely moves the hole lags
         assert rmse_fin <= 1.1 * rmse_inf
 
+    @pytest.mark.parametrize("trial", [0, 1])
+    @pytest.mark.parametrize(
+        "u, snr_db, n_snap",
+        [
+            ((-0.6, -0.2, 0.1, 0.4, 0.75), 0.0, 200),
+            ((-0.6, -0.2, 0.1, 0.4, 0.75), 20.0, 10),
+            ((-0.3, 0.2, 0.26), 10.0, 200),
+        ],
+    )
+    def test_reaches_the_structcov_ml_point(self, u, snr_db, n_snap, trial):
+        # EM's observed marginal T_oo(v) + lam I holds no lam_m, so an EM fixed
+        # point is a stationary point of the observed likelihood: lam_m sets
+        # how fast EM gets there, not where (Dempster, Laird & Rubin 1977)
+        g = ArrayGeometry((0, 1, 5, 6, 10, 11))
+        plan = CompletionPlan.from_geometry(g)
+        y = simulate(SourceScene.from_snr(u, snr_db), g, n_snap, seed=7, trial=trial)
+        r = scm(y)
+        v_mm = structcov_mle(r, g, MleConfig(lam=1.0, outer_iters=100))
+        v_em = em_gridless(y, g, plan, MleConfig(lam=1.0, lam_m=1000.0, outer_iters=100))
+        cost_mm, cost_em = ml_cost(v_mm, 1.0, r, g), ml_cost(v_em, 1.0, r, g)
+        assert abs(cost_em - cost_mm) <= 1e-8 * abs(cost_mm)
+
     def test_plan_validation(self):
         g = ArrayGeometry((0, 1, 5, 6, 10, 11))
         with pytest.raises(SolverError):

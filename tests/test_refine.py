@@ -211,6 +211,19 @@ class TestMultiresRefine:
                 est = multires_refine(y, g, 3, lam=1.0, grid_size=150, g_factor=3, rounds=5)
                 assert np.abs(np.sort(est.u) - np.array(u)).max() < 0.02, (seed, trial, est.u)
 
+    def test_round_zero_sbl_ends_on_its_relative_stop(self):
+        # the fig_refine_arbitrary scene: every round-0 SBL run at the default
+        # tol descends strictly and stops on its relative drop, so neither the
+        # cap nor a cost rise ends it
+        grid = -1.0 + 2.0 * np.arange(150) / 150
+        scene = SourceScene.from_snr((-0.54, 0.4802), 20.0)
+        for trial in range(7):
+            y = simulate(scene, OFFGRID, 500, seed=61007, trial=trial)
+            costs: list[float] = []
+            state = sbl_run(OFFGRID, grid, y, 1.0, 5000, cost_trace=costs)
+            assert not state.capped and len(costs) == state.iters
+            assert all(b < a for a, b in zip(costs, costs[1:])), trial
+
     def test_validation(self):
         g = OFFGRID
         y = simulate(SourceScene.from_snr((0.1,), 10.0), g, 8, seed=1)

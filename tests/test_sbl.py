@@ -9,7 +9,6 @@ from gridlessdoa.sbl import (
     SblError,
     SblState,
     sbl_cost,
-    sbl_em_update,
     sbl_run,
     top_peaks,
 )
@@ -18,17 +17,6 @@ from gridlessdoa.sigmodel import SnapshotMatrix, SourceScene, scm, simulate
 
 def make_state(g, grid, gamma, lam):
     return SblState.initialize(g, np.asarray(grid), lam).with_gamma(np.asarray(gamma, float))
-
-
-def em_step_from_snapshots(state, y):
-    """Reference M-SBL step in snapshot form: ``means = Gamma Phi^H C^{-1} Y``,
-    ``tau = diag(Gamma - Gamma Phi^H C^{-1} Phi Gamma)``, and
-    ``gamma = ||means_i||^2 / L + tau_i``, by dense inverse."""
-    phi, gamma = state.dictionary, state.gamma
-    cinv = np.linalg.inv(state.model_covariance())
-    means = gamma[:, None] * (phi.conj().T @ cinv @ y.data)
-    tau = gamma - gamma**2 * np.real(np.einsum("mg,mg->g", phi.conj(), cinv @ phi))
-    return (np.abs(means) ** 2).sum(axis=1) / y.n_snapshots + np.maximum(tau, 0.0)
 
 
 def q_s(state, r):
@@ -42,27 +30,19 @@ def q_s(state, r):
 
 def reference_run(g, grid, y, lam, max_iters, tol, cost_trace):
     """``sbl_run`` as a per-iteration loop over validated states: a new
-    ``SblState`` per trial and its cost from ``sbl_cost``.  A fixed-point
-    trial ``gamma q / s`` that raises the cost is rejected, and the EM step
-    from the last accepted state is tried next; the run stops at the last
-    accepted state when that EM trial raises the cost too, or when an
-    accepted trial lowers the cost by less than ``tol`` times the decrease
-    since the start."""
+    ``SblState`` per trial and its cost from ``sbl_cost``.  Each trial is
+    ``gamma q / s`` of the last accepted state; the run stops at that state
+    when a trial raises the cost, or when a trial lowers the cost by less
+    than ``tol`` times the decrease since the start."""
     r = scm(y)
     state = trial = SblState.initialize(g, grid, lam)
-    cost, start, em_next = np.inf, None, False
+    cost, start = np.inf, None
     for it in range(1, max_iters + 1):
         trial_cost = sbl_cost(trial, r)
-        if trial_cost > cost and em_next:
-            cost_trace.append(cost)
-            return state, it, False
         if trial_cost > cost:
             cost_trace.append(cost)
-            q, s = q_s(state, r)
-            trial = state.with_gamma(np.maximum(state.gamma + state.gamma**2 * (q - s), 0.0))
-            em_next = True
-            continue
-        drop, state, cost, em_next = cost - trial_cost, trial, trial_cost, False
+            return state, it, False
+        drop, state, cost = cost - trial_cost, trial, trial_cost
         start = cost if start is None else start
         cost_trace.append(cost)
         if drop < tol * (start - cost):
@@ -91,7 +71,7 @@ random_problems = st.tuples(
 
 # Few sensors, a handful of grid points, tiny lam and loud snapshots: the
 # model covariance is ill-conditioned enough that rounding in the cost can
-# make the EM step, which never raises the cost exactly, appear to raise it.
+# make a fixed-point step appear to raise it, which ends the run.
 ill_conditioned_problems = st.tuples(
     st.lists(st.floats(0.3, 3.0), min_size=1, max_size=4),  # sensor gaps
     st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=7),  # grid
@@ -141,37 +121,6 @@ class TestSblCost:
             assert abs(c1 - c2) <= 1e-12 * max(1.0, abs(c1))
 
 
-class TestEmStep:
-    def test_zero_gamma_absorbing(self, rng):
-        g = ArrayGeometry.ula(3)
-        grid = np.linspace(-1, 0.9, 7)
-        gamma = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0])
-        state = make_state(g, grid, gamma, 1.0)
-        y = SnapshotMatrix(data=rng.standard_normal((3, 4)) + 0j)
-        gamma_new = sbl_em_update(state, scm(y))
-        assert np.all(gamma_new[gamma == 0.0] == 0.0)
-        assert np.all(gamma_new >= 0.0)
-
-    def test_scalar_hand_computation(self):
-        # G = M = 1, Phi = 1, one snapshot y: everything in closed form
-        g = ArrayGeometry((0,))
-        gamma, lam, y_val = 0.8, 0.4, 1.3 - 0.2j
-        state = make_state(g, [0.0], [gamma], lam)
-        gamma_new = sbl_em_update(state, scm(SnapshotMatrix(data=np.array([[y_val]]))))
-        x_hat = gamma * y_val / (lam + gamma)
-        tau = gamma - gamma**2 / (lam + gamma)
-        assert abs(gamma_new[0] - (abs(x_hat) ** 2 + tau)) < 1e-14
-
-    def test_matches_scm_form(self, rng):
-        g = ArrayGeometry((0, 1, 3))
-        grid = np.linspace(-1, 0.9, 24)
-        state = make_state(g, grid, rng.uniform(0, 2, 24), 0.7)
-        y = SnapshotMatrix(data=rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9)))
-        direct = em_step_from_snapshots(state, y)
-        via_scm = sbl_em_update(state, scm(y))
-        np.testing.assert_allclose(direct, via_scm, atol=1e-12)
-
-
 class TestSblRun:
     def test_noiseless_on_grid_source(self):
         g = ArrayGeometry.ula(5)
@@ -182,21 +131,11 @@ class TestSblRun:
         assert grid[int(np.argmax(state.gamma))] == pytest.approx(-0.5, abs=1e-12)
 
     def test_zero_snapshots_drive_gamma_down(self):
-        # with no signal the EM step is gamma' = gamma - gamma^2 s, a harmonic
-        # decay to the zero fixed point; the fixed-point step gamma q / s
-        # reaches it in one step, as q = 0
+        # with no signal q = 0, so the fixed-point step gamma q / s reaches
+        # the zero fixed point in one step
         g = ArrayGeometry.ula(4)
         grid = np.linspace(-1, 0.9, 12)
         y = SnapshotMatrix(data=np.zeros((4, 3), dtype=complex))
-        r = scm(y)
-        state = SblState.initialize(g, grid, 1.0)
-        for _ in range(200):
-            state = state.with_gamma(sbl_em_update(state, r))
-        assert np.all(state.gamma < 5e-3)
-        longer = state
-        for _ in range(1800):
-            longer = longer.with_gamma(sbl_em_update(longer, r))
-        assert np.all(longer.gamma < state.gamma)
         run = sbl_run(g, grid, y, lam=1.0, max_iters=200)
         assert np.all(run.gamma == 0.0)
         assert not run.capped and run.iters < 200
@@ -253,7 +192,7 @@ class TestSblRun:
     def test_one_factorization_per_iteration(self, monkeypatch):
         # the benchmark counts SBL iterations as chol_factor calls; the third
         # factorization here is of a blown-up covariance, so its trial's cost
-        # rises and the trial is rejected
+        # rises and the run ends there
         g = ArrayGeometry((0, 1, 2, 3, 7, 11))
         grid = np.linspace(-1, 1, 101)[:-1]
         y = simulate(SourceScene.from_snr((-0.42, 0.13), 10.0), g, 64, seed=9)
@@ -275,8 +214,8 @@ class TestSblRun:
         calls = count_calls(3)
         costs: list[float] = []
         run = sbl_run(g, grid, y, lam=1.0, max_iters=1000, cost_trace=costs)
-        assert costs[2] == costs[1] and costs[3] < costs[1]  # rejected, then the EM step
-        assert not run.capped and len(calls) == run.iters == len(costs)
+        assert costs[2] == costs[1]  # the rise is not accepted
+        assert (run.iters, run.capped) == (3, False) and len(calls) == len(costs) == 3
 
     def test_converged_run_is_stationary(self):
         # a stationary point of the SBL cost has q_i = s_i where gamma_i > 0
