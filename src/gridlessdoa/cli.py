@@ -71,45 +71,32 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
-    if args.spectrum:  # the spectrum reads the structcovmle covariance
-        try:
-            xp.covariance_order("structcovmle", cfg.geometry)
-        except GeometryError as exc:
-            raise xp.ConfigError(f"--spectrum needs the structcovmle covariance: {exc}") from None
+    if args.svg and cfg.spectrum_grid is None:
+        raise xp.ConfigError("estimate --svg plots the MUSIC spectra, but spectrum.grid is unset")
     scene, n_snap = xp.axis_scene(cfg, 0)
     y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    diags: dict[str, dict] = {}
+    prefix = os.path.join(args.out, cfg.out_prefix)
+    rows, covariances = [], {}
     for name in cfg.estimators:
-        diag = diags[name] = {}
+        diag: dict = {}
         est = xp.run_estimator(name, y, cfg, diag)
+        covariances[name] = diag.get("covariance")
         rows.append([name, ";".join(f"{u:.12g}" for u in est.u)])
         print(f"{name}: " + " ".join(f"{u:+.6f}" for u in est.u))
         if args.trace and "cost_trace" in diag:
-            tpath = os.path.join(args.out, f"{cfg.out_prefix}_{name}_cost_trace.csv")
-            xp.write_csv(
-                tpath, ["iteration", "ml_cost"], [[i, c] for i, c in enumerate(diag["cost_trace"])]
-            )
+            tpath = f"{prefix}_{name}_cost_trace.csv"
+            xp.write_csv(tpath, ["iteration", "ml_cost"], enumerate(diag["cost_trace"]))
             print(f"wrote {tpath}")
-    path = os.path.join(args.out, f"{cfg.out_prefix}_estimates.csv")
-    xp.write_csv(path, ["estimator", "u_hat"], rows)
-    if args.spectrum:
+    xp.write_csv(f"{prefix}_estimates.csv", ["estimator", "u_hat"], rows)
+    if cfg.spectrum_grid is not None:  # the covariances the estimators computed
         grid = xp.spectrum_grid(cfg)
-        if "structcovmle" in diags:  # reuse the estimator run's covariance
-            cov = diags["structcovmle"]["covariance"]
-        else:
-            cov = xp.covariance_estimate("structcovmle", y, cfg, {})
-        spec = music_spectrum(cov, cfg.k, grid)
-        spath = os.path.join(args.out, f"{cfg.out_prefix}_spectrum.csv")
-        xp.write_csv(spath, ["u", "value"], [[u, s] for u, s in zip(grid, spec)])
-        print(f"wrote {spath}")
+        specs = {name: music_spectrum(cov, cfg.k, grid) for name, cov in covariances.items()}
+        xp.write_csv(f"{prefix}_spectrum.csv", ["u", *specs], zip(grid, *specs.values()))
+        print(f"wrote {prefix}_spectrum.csv")
         if args.svg:
-            xp.write_svg_lines(
-                os.path.join(args.out, f"{cfg.out_prefix}_spectrum.svg"),
-                {"spectrum": (grid.tolist(), spec.tolist())},
-                log_y=True,
-            )
+            series = {name: (grid.tolist(), spec.tolist()) for name, spec in specs.items()}
+            xp.write_svg_lines(f"{prefix}_spectrum.svg", series, log_y=True)
     return 0
 
 
@@ -153,9 +140,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("estimate", help="one-shot estimation on one realization")
     _add_common(p)
-    p.add_argument("--spectrum", action="store_true", help="also write the MUSIC spectrum")
     p.add_argument("--trace", action="store_true", help="write per-iteration solver cost CSVs")
-    p.add_argument("--svg", action="store_true", help="with --spectrum, also write an SVG plot")
+    p.add_argument("--svg", action="store_true", help="also plot the spectra of spectrum.grid")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("crb", help="write the CRB reference curve")
@@ -170,8 +156,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "describe-geometry" and not (args.config or args.positions):
         parser.error("describe-geometry needs --config or --positions")
-    if args.command == "estimate" and args.svg and not args.spectrum:
-        parser.error("estimate --svg needs --spectrum")
     if args.command == "sweep" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
     try:

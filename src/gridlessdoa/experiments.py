@@ -4,12 +4,12 @@ Experiments are described by flat ``key = value`` config files with dotted
 sections (see ``CONFIG_KEYS``).  A run sweeps one axis (SNR, correlation
 magnitude, snapshot count, or nothing), fans independent trials out over
 workers, and writes deterministic CSV tables plus a metadata JSON with
-timing.  Every experiment kind runs the same trial, ``run_one_trial``:
-simulate once, run every estimator; all but ``refine`` are a covariance read
-by root-MUSIC.  ``single_snapshot`` is the one kind that changes the outputs:
-its trials also keep each covariance's MUSIC spectrum.  Results are keyed by
-(axis, trial) so the output is invariant to the degree of parallelism, and
-all randomness is derived from the base seed and trial index.
+timing.  Every experiment runs the same trial, ``run_one_trial``: simulate
+once, run every estimator; all but ``refine`` are a covariance read by
+root-MUSIC.  A config that sets ``spectrum.grid`` also keeps each
+covariance's MUSIC spectrum.  Results are keyed by (axis, trial) so the
+output is invariant to the degree of parallelism, and all randomness is
+derived from the base seed and trial index.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import math
 import os
 import time
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -34,48 +35,9 @@ from .sbl import SblError
 from .sigmodel import ModelError, SnapshotMatrix, SourceScene, fb_average, scm, simulate
 from .sigmodel import ContiguousLagError, spatial_smooth
 
-EXPERIMENT_KINDS = (
-    "single_snapshot",
-    "more_sources",
-    "correlation_sweep",
-    "snr_sweep",
-    "resolution",
-    "refine_arbitrary",
-    "custom",
-)
-
 ESTIMATORS = ("scm-music", "fb-music", "structcovmle", "method1", "method2", "em", "refine")
 
 SWEEP_AXES = ("none", "snr_db", "rho_abs", "snapshots")
-
-CONFIG_KEYS = {
-    "experiment.kind": f"one of {', '.join(EXPERIMENT_KINDS)}; only single_snapshot changes"
-    " the outputs (adds MUSIC spectra; needs sweep.axis = none and any estimator but refine)",
-    "experiment.trials": "integer >= 1",
-    "experiment.seed": "integer",
-    "geometry.positions": "comma-separated sensor positions starting at 0",
-    "scene.u": "comma-separated ascending source directions in [-1, 1)",
-    "scene.snr_db": "per-source SNR in dB (scalar or one per source)",
-    "scene.rho_abs": "correlation magnitude in [0, 1]",
-    "scene.rho_phase": "correlation phase in radians",
-    "scene.snapshots": "integer >= 1",
-    "estimate.k": "number of sources to estimate (defaults to len(scene.u))",
-    "estimators": f"comma-separated subset of {', '.join(ESTIMATORS)}; scm-music and fb-music"
-    " need a ULA (positions 0..m-1), structcovmle, em, method1 and method2 integer positions",
-    "sweep.axis": f"one of {', '.join(SWEEP_AXES)}",
-    "sweep.values": "comma-separated axis values (nonempty; absent when axis=none)",
-    "solver.iter": "outer MM iterations, >= 1 (default 20)",
-    "solver.lambda": "noise variance fed to the solver, > 0 (default 1.0)",
-    "solver.lambda_m_factor": "latent-sensor noise multiplier, > 0 (default 1000); "
-    "sets how fast em converges, not where",
-    "refine.grid_size": "initial uniform grid size, >= 1 (default 150)",
-    "refine.g_factor": "per-round resolution factor, > 1 (default 3)",
-    "refine.gamma_thresh": "pruning threshold, >= 0 (default 1e-3)",
-    "refine.rounds": "refinement rounds, >= 0 (default 5)",
-    "refine.sbl_iters": "SBL iteration cap per run, >= 1 (default 5000)",
-    "spectrum.grid": "pseudospectrum grid size, >= 1 (default 600)",
-    "output.prefix": "file name prefix for artifacts",
-}
 
 
 class ConfigError(Exception):
@@ -84,12 +46,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
+    """A parsed config.  A field's default is its key's default; a key whose
+    field has none is required, except ``estimate.k`` (default len(scene.u))."""
+
     geometry: ArrayGeometry
     scene_u: tuple[float, ...]
     scene_snr_db: tuple[float, ...]
-    rho_abs: float
-    rho_phase: float
     snapshots: int
     estimators: tuple[str, ...]
     k: int
@@ -97,6 +59,8 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...]
     trials: int
     seed: int
+    rho_abs: float = 0.0
+    rho_phase: float = 0.0
     solver_iter: int = 20
     solver_lambda: float = 1.0
     solver_lambda_m_factor: float = 1000.0
@@ -105,13 +69,74 @@ class ExperimentConfig:
     refine_gamma_thresh: float = 1e-3
     refine_rounds: int = 5
     refine_sbl_iters: int = 5000
-    spectrum_grid: int = 600
+    spectrum_grid: int | None = None
     out_prefix: str = "experiment"
+
+
+# Each scalar key: its ``ExperimentConfig`` field, type, lower bound (None: no
+# bound), whether the bound is strict, and its meaning.  The bounds are the
+# ranges the solvers enforce, checked here so a bad value is a config error and
+# not a sweep of failed trials.
+_SCALARS = {
+    "experiment.trials": ("trials", int, 1, False, "trials per sweep value"),
+    "experiment.seed": ("seed", int, None, False, "base seed of every trial's draw"),
+    "scene.rho_abs": ("rho_abs", float, None, False, "correlation magnitude in [0, 1]"),
+    "scene.rho_phase": ("rho_phase", float, None, False, "correlation phase in radians"),
+    "scene.snapshots": ("snapshots", int, 1, False, "snapshots per trial"),
+    "estimate.k": ("k", int, 1, False, "number of sources to estimate (len(scene.u) if unset)"),
+    "solver.iter": ("solver_iter", int, 1, False, "outer MM iterations"),
+    "solver.lambda": ("solver_lambda", float, 0, True, "noise variance fed to the solver"),
+    "solver.lambda_m_factor": ("solver_lambda_m_factor", float, 0, True, "latent-sensor noise"
+                               " multiplier; sets how fast em converges, not where"),
+    "refine.grid_size": ("refine_grid_size", int, 1, False, "initial uniform grid size"),
+    "refine.g_factor": ("refine_g_factor", int, 1, True, "per-round resolution factor"),
+    "refine.gamma_thresh": ("refine_gamma_thresh", float, 0, False, "pruning threshold"),
+    "refine.rounds": ("refine_rounds", int, 0, False, "refinement rounds"),
+    "refine.sbl_iters": ("refine_sbl_iters", int, 1, False, "SBL iteration cap per run"),
+    "spectrum.grid": ("spectrum_grid", int, 1, False, "MUSIC spectrum grid size; when set, sweep"
+                      " and estimate write spectra, which need sweep.axis none and no refine"),
+    "output.prefix": ("out_prefix", str, None, False, "file name prefix for artifacts"),
+}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _scalar_text(name: str, cast: type, low, strict: bool, meaning: str) -> str:
+    """The ``CONFIG_KEYS`` text of one ``_SCALARS`` row."""
+    bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+    default = _DEFAULTS[name]
+    shown = "" if default is MISSING else f" (default {'unset' if default is None else default})"
+    return f"{cast.__name__}{bound}{shown}: {meaning}"
+
+
+CONFIG_KEYS = {
+    "geometry.positions": "comma-separated sensor positions starting at 0",
+    "scene.u": "comma-separated ascending source directions in [-1, 1)",
+    "scene.snr_db": "per-source SNR in dB (scalar or one per source)",
+    "estimators": f"comma-separated distinct names from {', '.join(ESTIMATORS)}; scm-music and"
+    " fb-music need a ULA (positions 0..m-1), structcovmle, em, method1 and method2 integer"
+    " positions",
+    "sweep.axis": f"one of {', '.join(SWEEP_AXES)}",
+    "sweep.values": "comma-separated distinct axis values (nonempty; absent when axis=none)",
+    **{key: _scalar_text(*row) for key, row in _SCALARS.items()},
+}
 
 
 def _fail(key: str, why: str):
     hint = CONFIG_KEYS.get(key, "")
     raise ConfigError(f"config key '{key}': {why}" + (f" (expected: {hint})" if hint else ""))
+
+
+def _scalar(key: str, text: str):
+    """The value of scalar key ``key``, checked against its ``_SCALARS`` row."""
+    _, cast, low, strict, _ = _SCALARS[key]
+    try:
+        value = cast(text)
+    except ValueError:
+        _fail(key, f"could not parse {text!r} as {cast.__name__}")
+    finite = cast is not float or math.isfinite(value)
+    if not finite or low is not None and (value <= low if strict else value < low):
+        _fail(key, f"{text} is out of range")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -144,36 +169,11 @@ def parse_config(text: str) -> ExperimentConfig:
             _fail(key, f"{raw[key]!r} has a non-finite value")
         return values
 
-    # ``low``/``strict``: the range the solvers enforce, checked here so a bad
-    # value is a config error and not a sweep of failed trials.
-    def one_float(
-        key: str, default: float | None = None, low: float | None = None, strict: bool = False
-    ) -> float:
-        if key not in raw and default is not None:
-            return default
-        try:
-            value = float(need(key))
-        except ValueError:
-            _fail(key, f"could not parse {raw[key]!r} as a number")
-        ok = math.isfinite(value) and (low is None or (value > low if strict else value >= low))
-        if not ok:
-            _fail(key, f"{value} is out of range")
-        return value
-
-    def one_int(key: str, default: int | None = None, low: int | None = None) -> int:
-        if key not in raw and default is not None:
-            return default
-        try:
-            value = int(need(key))
-        except ValueError:
-            _fail(key, f"could not parse {raw[key]!r} as an integer")
-        if low is not None and value < low:
-            _fail(key, f"must be at least {low}")
-        return value
-
-    kind = need("experiment.kind")
-    if kind not in EXPERIMENT_KINDS:
-        _fail("experiment.kind", f"{kind!r} is not a known kind")
+    # Scalars left out take their ``ExperimentConfig`` default.
+    scalars = {}
+    for key, (name, *_) in _SCALARS.items():
+        if key in raw or (_DEFAULTS[name] is MISSING and name != "k"):
+            scalars[name] = _scalar(key, need(key))
 
     try:
         geometry = ArrayGeometry.parse(need("geometry.positions"))
@@ -189,13 +189,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(snr) != len(u):
         _fail("scene.snr_db", "need one SNR per source (or a single shared value)")
 
-    trials = one_int("experiment.trials", low=1)
-    snapshots = one_int("scene.snapshots", low=1)
-
     estimators = tuple(tok.strip() for tok in need("estimators").split(",") if tok.strip())
     bad = [e for e in estimators if e not in ESTIMATORS]
-    if bad or not estimators:
-        _fail("estimators", f"unknown estimators {bad}" if bad else "must be nonempty")
+    if bad or not estimators or len(set(estimators)) < len(estimators):
+        _fail("estimators", f"unknown estimators {bad}" if bad else "must be nonempty and distinct")
 
     axis = raw.get("sweep.axis", "none")
     if axis not in SWEEP_AXES:
@@ -207,10 +204,12 @@ def parse_config(text: str) -> ExperimentConfig:
         values = (math.nan,)
     elif not values:
         _fail("sweep.values", "must be nonempty for a sweeping axis")
+    elif len(set(values)) < len(values):
+        _fail("sweep.values", "repeats a value")
     elif axis == "snapshots" and any(x < 1 or x != int(x) for x in values):
         _fail("sweep.values", "snapshot counts must be integers >= 1")
 
-    k = one_int("estimate.k", len(u), low=1)
+    k = scalars.setdefault("k", len(u))
     for name in (e for e in estimators if e != "refine"):
         try:
             order = covariance_order(name, geometry)
@@ -218,34 +217,10 @@ def parse_config(text: str) -> ExperimentConfig:
             _fail("estimators", f"{name} cannot run on this geometry: {exc}")
         if k >= order:
             _fail("estimators", f"{name} needs estimate.k < {order}, its covariance order; got {k}")
-    if kind == "single_snapshot" and ("refine" in estimators or axis != "none"):
-        _fail("experiment.kind", "single_snapshot needs sweep.axis none and no refine estimator")
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        geometry=geometry,
-        scene_u=u,
-        scene_snr_db=snr,
-        rho_abs=one_float("scene.rho_abs", 0.0),
-        rho_phase=one_float("scene.rho_phase", 0.0),
-        snapshots=snapshots,
-        estimators=estimators,
-        k=k,
-        sweep_axis=axis,
-        sweep_values=values,
-        trials=trials,
-        seed=one_int("experiment.seed"),
-        solver_iter=one_int("solver.iter", 20, low=1),
-        solver_lambda=one_float("solver.lambda", 1.0, low=0.0, strict=True),
-        solver_lambda_m_factor=one_float("solver.lambda_m_factor", 1000.0, low=0.0, strict=True),
-        refine_grid_size=one_int("refine.grid_size", 150, low=1),
-        refine_g_factor=one_int("refine.g_factor", 3, low=2),
-        refine_gamma_thresh=one_float("refine.gamma_thresh", 1e-3, low=0.0),
-        refine_rounds=one_int("refine.rounds", 5, low=0),
-        refine_sbl_iters=one_int("refine.sbl_iters", 5000, low=1),
-        spectrum_grid=one_int("spectrum.grid", 600, low=1),
-        out_prefix=raw.get("output.prefix", "experiment"),
-    )
+    cfg = ExperimentConfig(geometry=geometry, scene_u=u, scene_snr_db=snr, estimators=estimators,
+                           sweep_axis=axis, sweep_values=values, **scalars)
+    if cfg.spectrum_grid is not None and ("refine" in estimators or axis != "none"):
+        _fail("spectrum.grid", "spectra need sweep.axis none and no refine estimator")
     # SourceScene knows the valid scenes: check the configured one, then each sweep value's.
     scenes = [("scene.*", replace(cfg, sweep_axis="none"), 0)]
     for key, c, a in scenes + [("sweep.values", cfg, a) for a in range(len(values))]:
@@ -403,8 +378,8 @@ DATA_ERRORS = (
 def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
     """One (axis value, trial) cell: simulate once, run every estimator.
 
-    Each estimate is scored here, once; a ``single_snapshot`` trial that
-    scored also keeps its covariance's MUSIC spectrum.
+    Each estimate is scored here, once; with ``spectrum.grid`` set, an
+    estimate that scored also keeps its covariance's MUSIC spectrum.
     """
     scene, n_snap = axis_scene(cfg, axis_index)
     y = simulate(scene, cfg.geometry, n_snap, seed=cfg.seed, trial=axis_index * 1_000_000 + trial)
@@ -419,7 +394,7 @@ def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
                 "errors": assign_errors(est, scene).tolist(),
                 "failed": False,
             }
-            if cfg.kind == "single_snapshot":
+            if cfg.spectrum_grid is not None:
                 spectrum = music_spectrum(diagnostics["covariance"], cfg.k, spectrum_grid(cfg))
                 record["spectrum"] = spectrum.tolist()
         except DATA_ERRORS as exc:
@@ -439,7 +414,7 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -511,12 +486,12 @@ def _run_cells(cfg: ExperimentConfig, jobs: int) -> list[dict]:
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = False) -> dict:
     """Run the experiment, write artifacts, and return the meta record.
 
-    Every kind writes ``<prefix>_summary.csv`` (axis, estimator, rmse,
+    Every run writes ``<prefix>_summary.csv`` (axis, estimator, rmse,
     per-source bias, crb, trials, success rate), ``<prefix>_trials.csv``
     (per-trial directions and errors) and ``<prefix>_meta.json`` (timing,
     solver diagnostics and failure messages; kept out of the CSVs so re-runs
     are byte-identical).  The summary scores the errors stored in the trial
-    records.  ``single_snapshot`` adds one ``<prefix>_<estimator>_spectrum.csv``
+    records.  ``spectrum.grid`` adds one ``<prefix>_<estimator>_spectrum.csv``
     each, with a ``nan`` column for a failed trial; a run of ``refine`` adds
     ``<prefix>_rounds.csv``.  ``svg`` adds an RMSE plot.
     """
@@ -570,12 +545,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         trial_rows,
     )
     records = [rec for r in results for rec in r["results"].values()]
-    if cfg.kind == "single_snapshot":
+    if cfg.spectrum_grid is not None:
         _write_spectra(cfg, results, prefix)
     if "refine" in cfg.estimators:
         _write_round_table(cfg, results, prefix)
     meta = {
-        "kind": cfg.kind,
         "seed": cfg.seed,
         "started_unix": started,
         "elapsed_s": time.time() - started,

@@ -100,10 +100,10 @@ class MleConfig:
     newton: NewtonWork = field(default_factory=NewtonWork)
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise SolverError("lam must be positive")
-        if self.lam_m is not None and self.lam_m <= 0:
-            raise SolverError("lam_m must be positive")
+        if not 0 < self.lam < np.inf:
+            raise SolverError("lam must be positive and finite")
+        if self.lam_m is not None and not 0 < self.lam_m < np.inf:
+            raise SolverError("lam_m must be positive and finite")
         if self.outer_iters < 1:
             raise SolverError("outer_iters must be at least 1")
 

@@ -44,8 +44,8 @@ class SblState:
             raise SblError("grid and gamma must have matching length")
         if np.any(gamma < 0):
             raise SblError("gamma must be nonnegative")
-        if self.lam <= 0:
-            raise SblError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise SblError("lam must be positive and finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "gamma", gamma)
 

@@ -402,8 +402,8 @@ def test_criterion_10_decomposition_round_trip(rng):
 
 
 def test_criterion_11_sbl_structure_invariance_and_descent(rng):
-    """Duplicate-column cost invariance at 1e-12; EM steps never increase
-    the cost beyond 1e-9."""
+    """Duplicate-column cost invariance at 1e-12; the M-SBL fixed-point
+    trace never increases the cost beyond 1e-9."""
     g = ArrayGeometry((0, 1, 4))
     base_grid = np.linspace(-1, 0.9, 10)
     grid = np.concatenate([[0.37, 0.37], base_grid])
@@ -428,5 +428,5 @@ def test_criterion_11_sbl_structure_invariance_and_descent(rng):
     report(
         11,
         worst_inv <= 1e-12 and worst_rise <= 1e-9,
-        f"duplicate invariance {worst_inv:.2e}, worst EM cost rise {worst_rise:.2e}",
+        f"duplicate invariance {worst_inv:.2e}, worst M-SBL cost rise {worst_rise:.2e}",
     )

@@ -11,7 +11,9 @@ import pytest
 from gridlessdoa import experiments
 from gridlessdoa.cli import main
 from gridlessdoa.experiments import (
+    CONFIG_KEYS,
     ConfigError,
+    ExperimentConfig,
     describe_geometry,
     parse_config,
     run_experiment,
@@ -22,7 +24,6 @@ from gridlessdoa.geometry import ArrayGeometry, GeometryError
 from gridlessdoa.numerics import NumericsError
 
 BASE_CONFIG = """
-experiment.kind = snr_sweep
 experiment.trials = 2
 experiment.seed = 321
 geometry.positions = 0,1,2,3
@@ -36,10 +37,9 @@ sweep.values = 10,20
 output.prefix = tiny
 """
 
-# The single-snapshot kind: no sweep axis, covariance estimators, spectra kept.
+# Spectra kept: no sweep axis, covariance estimators, spectrum.grid set.
 SPECTRUM_CONFIG = (
-    BASE_CONFIG.replace("snr_sweep", "single_snapshot")
-    .replace("estimators = scm-music", "estimators = scm-music,fb-music")
+    BASE_CONFIG.replace("estimators = scm-music", "estimators = scm-music,fb-music")
     .replace("sweep.axis = snr_db", "sweep.axis = none")
     .replace("sweep.values = 10,20\n", "")
     + "spectrum.grid = 32\n"
@@ -56,7 +56,6 @@ SPARSE_SPECTRUM_CONFIG = (
 class TestParseConfig:
     def test_valid(self):
         cfg = parse_config(BASE_CONFIG)
-        assert cfg.kind == "snr_sweep"
         assert cfg.sweep_values == (10.0, 20.0)
         assert cfg.geometry.grid_positions() == (0, 1, 2, 3)
 
@@ -122,13 +121,63 @@ class TestParseConfig:
     )
     def test_single_snapshot_rejections(self, tmp_path, capsys, text):
         # spectra are taken from covariances (every estimator but refine) at
-        # one axis value only
-        with pytest.raises(ConfigError, match=re.escape("'experiment.kind'")):
+        # one axis value only, so spectrum.grid refuses the rest in sweep and
+        # estimate alike
+        with pytest.raises(ConfigError, match=re.escape("'spectrum.grid'")):
             parse_config(text)
         path = tmp_path / "bad.cfg"
         path.write_text(text)
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "experiment.kind" in capsys.readouterr().err
+        for command in ("sweep", "estimate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert "'spectrum.grid'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_required_keys_only_take_the_field_defaults(self):
+        # ExperimentConfig holds the only defaults: a config of the required
+        # keys parses to them, with estimate.k = len(scene.u) and no spectra
+        required = [
+            "experiment.trials = 2", "experiment.seed = 321", "geometry.positions = 0,1,2,3",
+            "scene.u = -0.5,0.5", "scene.snr_db = 20", "scene.snapshots = 64",
+            "estimators = scm-music",
+        ]
+        cfg = parse_config("\n".join(required))
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(cfg, f.name) == f.default, f.name
+        assert cfg.k == 2 and cfg.sweep_axis == "none" and cfg.spectrum_grid is None
+        for line in required:
+            with pytest.raises(ConfigError, match=re.escape(f"'{line.split(' = ')[0]}': missing")):
+                parse_config("\n".join(r for r in required if r != line))
+
+    @pytest.mark.parametrize(
+        "key, field, bound",
+        [
+            ("experiment.trials", "trials", "int >= 1"),
+            ("experiment.seed", "seed", "int"),
+            ("scene.rho_abs", "rho_abs", "float"),
+            ("scene.rho_phase", "rho_phase", "float"),
+            ("scene.snapshots", "snapshots", "int >= 1"),
+            ("estimate.k", "k", "int >= 1"),
+            ("solver.iter", "solver_iter", "int >= 1"),
+            ("solver.lambda", "solver_lambda", "float > 0"),
+            ("solver.lambda_m_factor", "solver_lambda_m_factor", "float > 0"),
+            ("refine.grid_size", "refine_grid_size", "int >= 1"),
+            ("refine.g_factor", "refine_g_factor", "int > 1"),
+            ("refine.gamma_thresh", "refine_gamma_thresh", "float >= 0"),
+            ("refine.rounds", "refine_rounds", "int >= 0"),
+            ("refine.sbl_iters", "refine_sbl_iters", "int >= 1"),
+            ("spectrum.grid", "spectrum_grid", "int >= 1"),
+            ("output.prefix", "out_prefix", "str"),
+        ],
+    )
+    def test_scalar_key_text_states_default_and_bound(self, key, field, bound):
+        # each scalar key's text is "<type> <bound> (default <field default>): <meaning>"
+        default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}[field]
+        if default is dataclasses.MISSING:
+            shown = ""
+        else:
+            shown = f" (default {'unset' if default is None else default})"
+        assert CONFIG_KEYS[key].startswith(f"{bound}{shown}: ")
 
     @pytest.mark.parametrize(
         "lines, key",
@@ -151,6 +200,8 @@ class TestParseConfig:
             ("geometry.positions = 0,1,2,3,7,11\nestimators = scm-music,fb-music", "estimators"),
             ("geometry.positions = 0,1,5,6,10,11\nestimators = method1", "estimators"),
             ("estimate.k = 4", "estimators"),
+            ("sweep.values = 10,10,20", "sweep.values"),
+            ("estimators = scm-music,scm-music", "estimators"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -158,8 +209,8 @@ class TestParseConfig:
         # every scene a sweep runs is built at parse time, and every estimator
         # is checked against the geometry (scm-music/fb-music need a ULA, the
         # gridless fits integer positions, all need k below their covariance
-        # order), so a bad value exits 2 naming its key instead of failing (or
-        # running) later
+        # order), and no sweep value or estimator may repeat, so a bad value
+        # exits 2 naming its key instead of failing (or running twice) later
         with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
             parse_config(BASE_CONFIG + lines + "\n")
         path = tmp_path / "bad.cfg"
@@ -178,7 +229,7 @@ class TestRunExperiment:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
         meta = json.loads((tmp_path / "a" / "tiny_meta.json").read_text())
-        assert meta["kind"] == "snr_sweep"
+        assert set(meta["cells"]) == {"10.0/scm-music", "20.0/scm-music"}
         header = (tmp_path / "a" / "tiny_summary.csv").read_text().splitlines()[0]
         assert header.split(",")[:3] == ["axis", "estimator", "rmse"]
         assert "crb" in header
@@ -287,8 +338,7 @@ class TestRunExperiment:
 
     def test_sbl_cap_hits_in_meta(self, tmp_path):
         cfg = parse_config(
-            BASE_CONFIG.replace("snr_sweep", "refine_arbitrary")
-            .replace("estimators = scm-music", "estimators = refine")
+            BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
             .replace("experiment.trials = 2", "experiment.trials = 1")
             .replace("sweep.axis = snr_db", "sweep.axis = none")
             .replace("sweep.values = 10,20\n", "")
@@ -301,8 +351,7 @@ class TestRunExperiment:
     def test_sbl_iters_in_meta(self, tmp_path):
         # the meta totals SBL iterations over all trials and rounds; no CSV has them
         cfg = parse_config(
-            BASE_CONFIG.replace("snr_sweep", "refine_arbitrary")
-            .replace("estimators = scm-music", "estimators = refine")
+            BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
             .replace("sweep.axis = snr_db", "sweep.axis = none")
             .replace("sweep.values = 10,20\n", "")
             + "refine.grid_size = 40\nrefine.rounds = 1\n"
@@ -365,9 +414,11 @@ class TestCliMain:
         assert (tmp_path / "tiny_summary.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
+        # a config that still names an experiment kind is refused by its key
         bad = tmp_path / "bad.cfg"
-        bad.write_text("experiment.kind = bogus\n")
+        bad.write_text("experiment.kind = snr_sweep\n" + BASE_CONFIG)
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "unknown config keys: ['experiment.kind']" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)]) == 2
@@ -401,23 +452,28 @@ class TestCliMain:
         assert (tmp_path / "tiny_estimates.csv").exists()
 
     def test_estimate_spectrum_and_trace(self, tmp_path, capsys):
+        # one spectrum column per estimator, each the sweep's trial 0 spectrum
         path = tmp_path / "exp.cfg"
-        path.write_text(BASE_CONFIG.replace("estimators = scm-music", "estimators = structcovmle"))
-        code = main(
-            ["estimate", "--config", str(path), "--out", str(tmp_path), "--spectrum", "--trace", "--svg"]
-        )
+        path.write_text(SPECTRUM_CONFIG.replace("scm-music,fb-music", "scm-music,structcovmle"))
+        code = main(["estimate", "--config", str(path), "--out", str(tmp_path), "--trace", "--svg"])
         assert code == 0
         spec_rows = (tmp_path / "tiny_spectrum.csv").read_text().splitlines()
-        assert spec_rows[0] == "u,value"
+        assert spec_rows[0] == "u,scm-music,structcovmle"
+        assert len(spec_rows) == 1 + 32
+        run_experiment(parse_config(path.read_text()), tmp_path / "sweep")
+        for col, name in ((1, "scm_music"), (2, "structcovmle")):
+            swept = (tmp_path / "sweep" / f"tiny_{name}_spectrum.csv").read_text().splitlines()
+            assert [r.split(",")[col] for r in spec_rows[1:]] == [r.split(",")[1] for r in swept[1:]]
         trace_rows = (tmp_path / "tiny_structcovmle_cost_trace.csv").read_text().splitlines()
         assert trace_rows[0] == "iteration,ml_cost"
         costs = [float(r.split(",")[1]) for r in trace_rows[1:]]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
-        assert (tmp_path / "tiny_spectrum.svg").exists()
+        assert (tmp_path / "tiny_spectrum.svg").read_text().count("<polyline") == 2
 
     @pytest.mark.parametrize("estimators", ["structcovmle", "scm-music"])
     def test_estimate_spectrum_solves_mle_once(self, tmp_path, capsys, monkeypatch, estimators):
-        # the spectrum reuses the structcovmle estimator's covariance when it ran
+        # the spectra read the covariances the estimators computed: one MLE
+        # solve for structcovmle and none without it
         calls = []
         solve = experiments.structcov_mle
 
@@ -427,20 +483,36 @@ class TestCliMain:
 
         monkeypatch.setattr(experiments, "structcov_mle", counted)
         path = tmp_path / "exp.cfg"
-        path.write_text(BASE_CONFIG.replace("estimators = scm-music", f"estimators = {estimators}"))
-        assert main(["estimate", "--config", str(path), "--out", str(tmp_path), "--spectrum"]) == 0
-        assert len(calls) == 1
-        assert (tmp_path / "tiny_spectrum.csv").exists()
+        path.write_text(SPECTRUM_CONFIG.replace("scm-music,fb-music", estimators))
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert len(calls) == (estimators == "structcovmle")
+        header = (tmp_path / "tiny_spectrum.csv").read_text().splitlines()[0]
+        assert header == f"u,{estimators}"
 
     def test_estimate_spectrum_refused_off_grid(self, tmp_path, capsys):
-        # the spectrum is MUSIC on the structcovmle covariance, which needs
-        # integer positions: refused before any estimator runs
-        cfg = str(resources.files("gridlessdoa") / "configs" / "fig_refine_arbitrary.cfg")
-        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "a"), "--spectrum"]) == 2
-        assert "--spectrum" in capsys.readouterr().err
+        # the off-grid config runs refine, which keeps no covariance, so
+        # spectrum.grid is refused there before any estimator runs
+        cfg = resources.files("gridlessdoa") / "configs" / "fig_refine_arbitrary.cfg"
+        path = tmp_path / "spectrum.cfg"
+        path.write_text(cfg.read_text() + "spectrum.grid = 32\n")
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "a")]) == 2
+        assert "'spectrum.grid'" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
-        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "b" / "fig_refine_arbitrary_estimates.csv").exists()
+
+    def test_no_spectrum_without_spectrum_grid(self, tmp_path, capsys):
+        # spectrum.grid is the one switch: without it neither sweep nor
+        # estimate writes a spectrum, and estimate --svg is a config error
+        cfg = self.write_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--svg"]) == 0
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e"), "--trace"]) == 0
+        assert (tmp_path / "e" / "tiny_estimates.csv").exists()
+        assert not list(tmp_path.glob("*/*spectrum*"))
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "v"), "--svg"]) == 2
+        assert "spectrum.grid" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize("positions", ["0,inf", "0,nan", "0,1,x"])
     def test_bad_positions_are_config_errors(self, capsys, positions):
@@ -452,7 +524,7 @@ class TestCliMain:
     @pytest.mark.parametrize(
         "command, flag",
         [("simulate", "--jobs=2"), ("simulate", "--svg"), ("crb", "--jobs=2"), ("crb", "--svg"),
-         ("estimate", "--jobs=2"), ("estimate", "--svg")],
+         ("estimate", "--jobs=2")],
     )
     def test_flags_only_where_they_act(self, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:

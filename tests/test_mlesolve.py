@@ -892,6 +892,13 @@ class TestMleConfig:
             MleConfig(lam=1.0, outer_iters=0)
         with pytest.raises(SolverError):
             MleConfig(lam=1.0, lam_m=-1.0)
+        # nan <= 0 is false: a NaN or inf variance must not wait for the
+        # run's first Cholesky to fail
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SolverError, match="lam must be positive and finite"):
+                MleConfig(lam=bad)
+            with pytest.raises(SolverError, match="lam_m must be positive and finite"):
+                MleConfig(lam=1.0, lam_m=bad)
 
     def test_lam_missing_default(self):
         assert MleConfig(lam=2.0).lam_missing == pytest.approx(2000.0)

@@ -269,6 +269,10 @@ class TestSblRun:
             sbl_run(g, np.linspace(-1, 0.9, 5), SnapshotMatrix(data=np.zeros((3, 1), complex)), 1.0, max_iters=0)
         with pytest.raises(SblError):
             make_state(g, [0.0, 0.1], [-1.0, 0.0], 1.0)
+        good = SblState.initialize(g, np.linspace(-1, 0.9, 5), 1.0)
+        for bad in (0.0, np.nan, np.inf):  # nan <= 0 is false
+            with pytest.raises(SblError, match="lam must be positive and finite"):
+                SblState(good.grid, good.gamma, bad, good.dictionary)
 
 
 class TestTopPeaks:
