@@ -19,7 +19,7 @@ import numpy as np
 from . import numerics as nx
 from .estimate import DoaEstimate
 from .geometry import ArrayGeometry
-from .sbl import SblState, qs_columns, sbl_cost, sbl_run, top_peaks
+from .sbl import SblState, qs_columns, sbl_run, top_peaks
 from .sigmodel import SnapshotMatrix, manifold, scm
 
 
@@ -27,7 +27,7 @@ class RefineError(Exception):
     pass
 
 
-# _move_atom: candidate directions per window.
+# peak_adjust: candidate directions per window.
 FINE_POINTS = 101
 # peak_adjust: first half-window in u, its shrink per sweep, last half-window.
 # q/s is flat to rounding within about 2e-9 of its maximum, so narrower
@@ -35,25 +35,6 @@ FINE_POINTS = 101
 FINISH_WINDOW = 0.04
 FINISH_SHRINK = 4.0
 FINISH_STOP = 1e-8
-
-
-def qs_values(
-    u: np.ndarray,
-    state: SblState,
-    exclude: int,
-    r: np.ndarray,
-    g: ArrayGeometry,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (q, s) statistics of candidate directions against C without point i.
-
-    ``q(u) = phi^H C_{-i}^{-1} R C_{-i}^{-1} phi`` and
-    ``s(u) = phi^H C_{-i}^{-1} phi``; s is positive for lam > 0 and q is
-    nonnegative for PSD R.  ``u`` is an array of directions.
-    """
-    gamma = state.gamma.copy()
-    gamma[exclude] = 0.0
-    cinv = nx.inv_pd(state.with_gamma(gamma).model_covariance())
-    return qs_columns(manifold(u, g), cinv, np.asarray(r, dtype=np.complex128))
 
 
 def gamma_opt(q: float, s: float) -> float:
@@ -64,44 +45,40 @@ def gamma_opt(q: float, s: float) -> float:
     return float((q - s) / max(s, 1e-300) ** 2) if q > s else 0.0
 
 
-def _move_atom(state: SblState, j: int, half: float, r: np.ndarray, g: ArrayGeometry) -> None:
-    """Move point j of ``state`` in place to its best direction.
-
-    The candidates are ``FINE_POINTS`` directions over ``[u - half, u + half]``
-    and the incumbent u, clipped to [-1, 1).  The one with the largest q/s
-    takes the point, its ``gamma_opt`` power and its dictionary column; with
-    q <= s on the whole window the power is 0.  That is the sequential update
-    of Tipping & Faul (2003): the incumbent is a candidate and the power is
-    the exact 1-D minimizer, so the SBL cost never rises.  The incumbent comes
-    last, so a tie in q/s (flat to rounding in narrow windows) goes to the
-    scan.
-    """
-    u = state.grid[j]
-    cand = np.append(np.linspace(u - half, u + half, FINE_POINTS), u)
-    cand = cand[(cand >= -1.0) & (cand < 1.0)]
-    q, s = qs_values(cand, state, j, r, g)
-    best = int(np.argmax(q / s))
-    state.grid[j] = cand[best]
-    state.gamma[j] = gamma_opt(q[best], s[best])
-    state.dictionary[:, j] = manifold(cand[best], g)
-
-
 def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> DoaEstimate:
     """The k-source estimate of an SBL state: its top-k peak atoms, with the
     rest of the grid dropped and ``lam`` kept, refined on the k-atom likelihood.
 
-    Each sweep applies ``_move_atom`` to every atom in turn; the half-window
-    shrinks from ``FINISH_WINDOW`` by ``FINISH_SHRINK`` per sweep to
-    ``FINISH_STOP``.  The k-atom cost never rises.
+    The atoms are directions u, powers gamma and dictionary columns phi.  Each
+    sweep moves every atom j in turn by the sequential update of Tipping &
+    Faul (2003).  The candidates are ``FINE_POINTS`` directions over ``[u_j -
+    half, u_j + half]`` and the incumbent u_j, clipped to [-1, 1).  The one
+    with the largest q/s against C without atom j takes the atom, with its
+    ``gamma_opt`` power and its column; with q <= s on the whole window the
+    power is 0.  The incumbent is a candidate and the power is the exact 1-D
+    minimizer, so the k-atom cost never rises.  The incumbent comes last, so
+    a tie in q/s (flat to rounding in narrow windows) goes to the scan.  The
+    half-window shrinks from ``FINISH_WINDOW`` by ``FINISH_SHRINK`` per sweep
+    to ``FINISH_STOP``.
     """
     peaks = top_peaks(state.grid, state.gamma, k)
-    atoms = SblState(state.grid[peaks], state.gamma[peaks], state.lam, state.dictionary[:, peaks])
+    u, gamma, phi = state.grid[peaks], state.gamma[peaks], state.dictionary[:, peaks]
+    r = np.asarray(r, dtype=np.complex128)
+    lam_eye = state.lam * np.eye(phi.shape[0])
     half = FINISH_WINDOW
     while half >= FINISH_STOP:
-        for j in range(atoms.grid.size):
-            _move_atom(atoms, j, half, r, g)
+        for j in range(u.size):
+            rest = gamma.copy()
+            rest[j] = 0.0
+            cinv = nx.inv_pd((phi * rest) @ phi.conj().T + lam_eye)
+            cand = np.append(np.linspace(u[j] - half, u[j] + half, FINE_POINTS), u[j])
+            cand = cand[(cand >= -1.0) & (cand < 1.0)]
+            cols = manifold(cand, g)
+            q, s = qs_columns(cols, cinv, r)
+            best = int(np.argmax(q / s))
+            u[j], gamma[j], phi[:, j] = cand[best], gamma_opt(q[best], s[best]), cols[:, best]
         half /= FINISH_SHRINK
-    return DoaEstimate(u=atoms.grid, powers=atoms.gamma)
+    return DoaEstimate(u=u, powers=gamma)
 
 
 def _dedupe_sorted(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -137,8 +114,8 @@ def multires_refine(
     ``peak_adjust`` of its SBL state; the next round's grid is built from
     that state's peaks, not from the estimate.
     """
-    if rounds < 0 or g_factor <= 1 or k < 1:
-        raise RefineError("rounds must be >= 0, g_factor > 1 and k >= 1")
+    if rounds < 0 or g_factor <= 1 or k < 1 or grid_size < 1:
+        raise RefineError("rounds must be >= 0, g_factor > 1, k >= 1 and grid_size >= 1")
     r_hat = scm(y)
     grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
     for rnd in range(rounds + 1):
@@ -150,14 +127,15 @@ def multires_refine(
             offsets = step * np.arange(-2 * g_factor, 2 * g_factor + 1)
             grid = np.concatenate([state.grid[keep]] + [state.grid[i] + offsets for i in peaks])
             grid = _dedupe_sorted(grid[(grid >= -1.0) & (grid < 1.0)])
-        state = sbl_run(g, grid, y, lam, sbl_iters)
+        costs: list[float] = []
+        state = sbl_run(g, grid, y, lam, sbl_iters, cost_trace=costs)
         est = peak_adjust(state, r_hat, g, k)
         if on_round is not None:
             on_round(
                 {
                     "round": rnd,
                     "grid_size": int(state.grid.size),
-                    "sbl_cost": sbl_cost(state, r_hat),
+                    "sbl_cost": costs[-1],
                     "sbl_iters": state.iters,
                     "sbl_cap_hit": state.capped,
                     "u_hat": est.u.tolist(),

@@ -99,10 +99,12 @@ def sbl_run(
     of an ill-conditioned C.  Either way it returns the last accepted
     gamma.  ``iters`` counts iterations and ``capped`` says the cap stopped
     the run; ``cost_trace`` gets each iteration's accepted cost, which never
-    rises.
+    rises, so its last entry is the returned gamma's cost.
     """
     if max_iters < 1:
         raise SblError("max_iters must be at least 1")
+    if np.size(grid) < 1:
+        raise SblError("grid must not be empty")
     state = SblState.initialize(g, grid, lam)
     r = scm(y)
     phi, phi_h = state.dictionary, state.dictionary.conj().T

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from gridlessdoa import numerics as nx
 from gridlessdoa.geometry import ArrayGeometry
 from gridlessdoa.refine import (
+    FINE_POINTS,
+    FINISH_SHRINK,
+    FINISH_STOP,
+    FINISH_WINDOW,
     RefineError,
     gamma_opt,
     multires_refine,
     peak_adjust,
-    qs_values,
 )
-from gridlessdoa.sbl import SblState, sbl_run, top_peaks
+from gridlessdoa.sbl import SblState, qs_columns, sbl_run, top_peaks
 from gridlessdoa.sigmodel import SourceScene, manifold, scm, simulate
 
 OFFGRID = ArrayGeometry((0, 1, 2.1, 3.5, 4.7, 10))
@@ -22,20 +25,29 @@ def make_state(g, grid, gamma, lam):
     return SblState.initialize(g, np.asarray(grid), lam).with_gamma(np.asarray(gamma, float))
 
 
+def leave_one_out_qs(u, state, exclude, r, g):
+    """(q, s) of directions ``u`` against the state's C with point ``exclude``
+    removed, from ``qs_columns`` on an inverse built here."""
+    gamma = state.gamma.copy()
+    gamma[exclude] = 0.0
+    cinv = nx.inv_pd(state.with_gamma(gamma).model_covariance())
+    return qs_columns(manifold(np.asarray(u), g), cinv, np.asarray(r, dtype=np.complex128))
+
+
 class TestQsValues:
     def test_identity_model(self):
         # with nothing else in the model and unit-noise identity data,
         # q and s both reduce to the squared manifold norm M
         g = ArrayGeometry.ula(5)
         state = make_state(g, [-0.5, 0.0, 0.5], [0.0, 0.0, 0.0], 1.0)
-        q, s = qs_values(np.array([0.23]), state, 1, np.eye(5), g)
+        q, s = leave_one_out_qs([0.23], state, 1, np.eye(5), g)
         assert q[0] == pytest.approx(5.0, abs=1e-12)
         assert s[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_scaled_identity_data(self):
         g = ArrayGeometry.ula(4)
         state = make_state(g, [-0.5, 0.0, 0.5], [0.0, 0.0, 0.0], 1.0)
-        q, s = qs_values(np.array([-0.37]), state, 0, 3.0 * np.eye(4), g)
+        q, s = leave_one_out_qs([-0.37], state, 0, 3.0 * np.eye(4), g)
         assert q[0] == pytest.approx(3.0 * 4.0, abs=1e-12)
         assert s[0] == pytest.approx(4.0, abs=1e-12)
 
@@ -57,7 +69,7 @@ class TestQsValues:
             phi = manifold(u, g)
             q_ref = float(np.real(phi.conj() @ cinv @ r @ cinv @ phi))
             s_ref = float(np.real(phi.conj() @ cinv @ phi))
-            q, s = qs_values(np.array([u]), state, i, r, g)
+            q, s = leave_one_out_qs([u], state, i, r, g)
             assert q[0] == pytest.approx(q_ref, rel=1e-10)
             assert s[0] == pytest.approx(s_ref, rel=1e-10)
             assert s[0] > 0 and q[0] >= 0
@@ -133,29 +145,68 @@ class TestPeakAdjust:
             np.testing.assert_array_equal(a, b)
 
 
+def reference_finish(state, r, g, k):
+    """``peak_adjust`` as a loop over validated states: each move rebuilds
+    C without the atom through ``with_gamma`` and ``model_covariance``, and
+    the winner's column is a fresh ``manifold``."""
+    peaks = top_peaks(state.grid, state.gamma, k)
+    atoms = SblState(state.grid[peaks], state.gamma[peaks], state.lam, state.dictionary[:, peaks])
+    half = FINISH_WINDOW
+    while half >= FINISH_STOP:
+        for j in range(atoms.grid.size):
+            u = atoms.grid[j]
+            cand = np.append(np.linspace(u - half, u + half, FINE_POINTS), u)
+            cand = cand[(cand >= -1.0) & (cand < 1.0)]
+            q, s = leave_one_out_qs(cand, atoms, j, r, g)
+            best = int(np.argmax(q / s))
+            atoms.grid[j] = cand[best]
+            atoms.gamma[j] = gamma_opt(q[best], s[best])
+            atoms.dictionary[:, j] = manifold(cand[best], g)
+        half /= FINISH_SHRINK
+    return atoms.grid, atoms.gamma
+
+
+finish_problems = st.tuples(
+    st.lists(st.floats(0.3, 3.0), min_size=1, max_size=5),  # sensor gaps
+    st.integers(5, 80),                                      # grid size
+    st.integers(1, 60),                                      # snapshots
+    st.floats(-1.3, 0.7).map(lambda e: 10.0**e),             # lam
+    st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3, unique=True).map(sorted),
+    st.floats(-5.0, 20.0),                                   # SNR in dB
+    st.integers(1, 3),                                       # k
+    st.integers(0, 2**32 - 1),
+)
+
+
+def finish_problem(problem):
+    """The geometry, SCM, SBL state (30 iterations), lam and k of a drawn problem."""
+    gaps, grid_size, n_snap, lam, u, snr_db, k, seed = problem
+    g = ArrayGeometry((0.0,) + tuple(np.cumsum(gaps).tolist()))
+    grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
+    y = simulate(SourceScene.from_snr(tuple(u), snr_db), g, n_snap, seed=seed)
+    return g, scm(y), sbl_run(g, grid, y, lam, max_iters=30), lam, k
+
+
 class TestAtomFinish:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        st.lists(st.floats(0.3, 3.0), min_size=1, max_size=5),  # sensor gaps
-        st.integers(5, 80),                                      # grid size
-        st.integers(1, 60),                                      # snapshots
-        st.floats(-1.3, 0.7).map(lambda e: 10.0**e),             # lam
-        st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3, unique=True).map(sorted),
-        st.floats(-5.0, 20.0),                                   # SNR in dB
-        st.integers(1, 3),                                       # k
-        st.integers(0, 2**32 - 1),
-    )
-    def test_k_atom_cost_never_rises(self, gaps, grid_size, n_snap, lam, u, snr_db, k, seed):
-        g = ArrayGeometry((0.0,) + tuple(np.cumsum(gaps).tolist()))
-        grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-        y = simulate(SourceScene.from_snr(tuple(u), snr_db), g, n_snap, seed=seed)
-        r = scm(y)
-        state = sbl_run(g, grid, y, lam, max_iters=30)
+    @given(finish_problems)
+    def test_k_atom_cost_never_rises(self, problem):
+        g, r, state, lam, k = finish_problem(problem)
         peaks = top_peaks(state.grid, state.gamma, k)
         before = atom_cost(state.grid[peaks], state.gamma[peaks], lam, r, g)
         est = peak_adjust(state, r, g, k)
         assert est.k == k
         assert atom_cost(est.u, est.powers, lam, r, g) <= before + 1e-9 * abs(before)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(finish_problems)
+    def test_matches_the_state_rebuilding_finish(self, problem):
+        g, r, state, _, k = finish_problem(problem)
+        u, powers = reference_finish(state, r, g, k)
+        order = np.argsort(u, kind="stable")
+        est = peak_adjust(state, r, g, k)
+        np.testing.assert_array_equal(est.u, u[order])
+        np.testing.assert_array_equal(est.powers, powers[order])
 
 
 class TestMultiresRefine:
@@ -233,3 +284,5 @@ class TestMultiresRefine:
             multires_refine(y, g, 1, g_factor=1)
         with pytest.raises(RefineError):
             multires_refine(y, g, 0)
+        with pytest.raises(RefineError):
+            multires_refine(y, g, 1, grid_size=0)

@@ -263,10 +263,34 @@ class TestSblRun:
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(costs, costs[1:]))
         assert sbl_cost(state, scm(y)) == pytest.approx(min(costs), rel=1e-12)
 
+    def test_last_traced_cost_is_the_returned_state_cost(self):
+        # multires_refine reports a round's cost as the trace's last entry;
+        # it is the cost of the returned gamma, bitwise, however the run ends
+        g = ArrayGeometry((0, 1, 2, 3, 7, 11))
+        grid = -1.0 + 2.0 * np.arange(100) / 100
+        y = simulate(SourceScene.from_snr((-0.42, 0.13), 10.0), g, 64, seed=9)
+        rng = np.random.default_rng(8)
+        loud = SnapshotMatrix(data=100.0 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))))
+        runs = {
+            "converged": (g, grid, y, 1.0, 5000, 1e-6),
+            "capped": (g, grid, y, 1.0, 25, 0.0),
+            # rounding in the cost of an ill-conditioned C makes a step rise
+            "rise": (ArrayGeometry((0, 1, 2.5)), np.array([-0.7, -0.2, 0.3, 0.8]), loud, 1e-4, 300, 0.0),
+        }
+        for name, (geo, grd, snaps, lam, cap, tol) in runs.items():
+            costs: list[float] = []
+            state = sbl_run(geo, grd, snaps, lam, cap, tol, cost_trace=costs)
+            ended = {"converged": costs[-1] < costs[-2], "capped": state.capped, "rise": costs[-1] == costs[-2]}
+            assert ended[name] and state.capped == (name == "capped"), name
+            assert costs[-1] == sbl_cost(state, scm(snaps)), name
+
     def test_validation(self):
         g = ArrayGeometry.ula(3)
+        y = SnapshotMatrix(data=np.zeros((3, 1), complex))
         with pytest.raises(SblError):
-            sbl_run(g, np.linspace(-1, 0.9, 5), SnapshotMatrix(data=np.zeros((3, 1), complex)), 1.0, max_iters=0)
+            sbl_run(g, np.linspace(-1, 0.9, 5), y, 1.0, max_iters=0)
+        with pytest.raises(SblError, match="grid must not be empty"):
+            sbl_run(g, np.array([]), y, 1.0)
         with pytest.raises(SblError):
             make_state(g, [0.0, 0.1], [-1.0, 0.0], 1.0)
         good = SblState.initialize(g, np.linspace(-1, 0.9, 5), 1.0)
