@@ -7,7 +7,7 @@ because pruning keeps the grid near its original size while the local
 resolution multiplies by the subdivision factor every round.  A round's
 estimate is its top-k peak atoms, each re-optimized jointly in (gamma, u)
 against the k-atom likelihood with the atom removed from the model (the
-classic sequential update).
+classic sequential update), by a Newton ascent on q/s.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import numerics as nx
 from .estimate import DoaEstimate
 from .geometry import ArrayGeometry
-from .sbl import SblState, qs_columns, sbl_run, top_peaks
+from .sbl import SblState, outer_products, qs_columns, sbl_run, top_peaks
 from .sigmodel import SnapshotMatrix, manifold, scm
 
 
@@ -27,14 +27,11 @@ class RefineError(Exception):
     pass
 
 
-# peak_adjust: candidate directions per window.
-FINE_POINTS = 101
-# peak_adjust: first half-window in u, its shrink per sweep, last half-window.
-# q/s is flat to rounding within about 2e-9 of its maximum, so narrower
-# windows would only move atoms within rounding noise.
-FINISH_WINDOW = 0.04
-FINISH_SHRINK = 4.0
-FINISH_STOP = 1e-8
+# peak_adjust: the sweep cap, and the atom move in u below which a sweep
+# counts as still.
+FINISH_SWEEPS = 11
+FINISH_TOL = 1e-10
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def gamma_opt(q: float, s: float) -> float:
@@ -51,33 +48,53 @@ def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> Doa
 
     The atoms are directions u, powers gamma and dictionary columns phi.  Each
     sweep moves every atom j in turn by the sequential update of Tipping &
-    Faul (2003).  The candidates are ``FINE_POINTS`` directions over ``[u_j -
-    half, u_j + half]`` and the incumbent u_j, clipped to [-1, 1).  The one
-    with the largest q/s against C without atom j takes the atom, with its
-    ``gamma_opt`` power and its column; with q <= s on the whole window the
-    power is 0.  The incumbent is a candidate and the power is the exact 1-D
-    minimizer, so the k-atom cost never rises.  The incumbent comes last, so
-    a tie in q/s (flat to rounding in narrow windows) goes to the scan.  The
-    half-window shrinks from ``FINISH_WINDOW`` by ``FINISH_SHRINK`` per sweep
-    to ``FINISH_STOP``.
+    Faul (2003): with C without atom j inverted once, one safeguarded Newton
+    step raises f(u) = q(u)/s(u).  The step is ``f'/|f''|`` (the Newton step
+    where f is concave, uphill where it is not), clipped to [-1, 1) and
+    halved until f rises; while it is above ``FINISH_TOL`` and f does not
+    rise, the atom stays.  The atom then takes its direction's column and
+    ``gamma_opt`` power (0 where q <= s).  The best power's cost falls as f
+    rises, so the ascent is monotone and the k-atom cost never rises.  The
+    sweeps stop when no atom moves more than ``FINISH_TOL``, or after
+    ``FINISH_SWEEPS``.
     """
     peaks = top_peaks(state.grid, state.gamma, k)
     u, gamma, phi = state.grid[peaks], state.gamma[peaks], state.dictionary[:, peaks]
     r = np.asarray(r, dtype=np.complex128)
     lam_eye = state.lam * np.eye(phi.shape[0])
-    half = FINISH_WINDOW
-    while half >= FINISH_STOP:
+    # The n-th u-derivative of phi(u) phi(u)^H is its entrywise product with
+    # (-j pi (p_a - p_b))^n, and q, s are linear in it.
+    pos = np.asarray(g.positions, dtype=np.float64)
+    lags = (-1j * np.pi * np.subtract.outer(pos, pos)).ravel()
+    derivs = np.stack([np.ones_like(lags), lags, lags**2])
+
+    def ratio(x: float, cinv: np.ndarray) -> tuple[float, float, float, float, float]:
+        """q and s at direction x, and f = q/s with its first two u-derivatives."""
+        rows = outer_products(manifold([x], g)) * derivs
+        (q, q1, q2), (s, s1, s2) = (v.tolist() for v in qs_columns(rows, cinv, r))
+        f = q / s
+        f1 = (q1 - f * s1) / s
+        return q, s, f, f1, (q2 - 2.0 * f1 * s1 - f * s2) / s
+
+    for _ in range(FINISH_SWEEPS):
+        moved = 0.0
         for j in range(u.size):
             rest = gamma.copy()
             rest[j] = 0.0
             cinv = nx.inv_pd((phi * rest) @ phi.conj().T + lam_eye)
-            cand = np.append(np.linspace(u[j] - half, u[j] + half, FINE_POINTS), u[j])
-            cand = cand[(cand >= -1.0) & (cand < 1.0)]
-            cols = manifold(cand, g)
-            q, s = qs_columns(cols, cinv, r)
-            best = int(np.argmax(q / s))
-            u[j], gamma[j], phi[:, j] = cand[best], gamma_opt(q[best], s[best]), cols[:, best]
-        half /= FINISH_SHRINK
+            x = u[j]
+            q, s, f, f1, f2 = ratio(x, cinv)
+            step = min(max(x + f1 / abs(f2), -1.0), _BELOW_ONE) - x if f2 != 0.0 else 0.0
+            while abs(step) > FINISH_TOL:
+                q_new, s_new, f_new, _, _ = ratio(x + step, cinv)
+                if f_new > f:
+                    x, q, s = x + step, q_new, s_new
+                    break
+                step /= 2.0
+            moved = max(moved, abs(x - u[j]))
+            u[j], gamma[j], phi[:, j] = x, gamma_opt(q, s), manifold(x, g)
+        if moved <= FINISH_TOL:
+            break
     return DoaEstimate(u=u, powers=gamma)
 
 

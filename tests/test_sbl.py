@@ -8,11 +8,14 @@ from gridlessdoa.geometry import ArrayGeometry
 from gridlessdoa.sbl import (
     SblError,
     SblState,
+    covariance,
+    outer_products,
+    qs_columns,
     sbl_cost,
     sbl_run,
     top_peaks,
 )
-from gridlessdoa.sigmodel import SnapshotMatrix, SourceScene, scm, simulate
+from gridlessdoa.sigmodel import SnapshotMatrix, SourceScene, manifold, scm, simulate
 
 
 def make_state(g, grid, gamma, lam):
@@ -20,12 +23,10 @@ def make_state(g, grid, gamma, lam):
 
 
 def q_s(state, r):
-    """``q`` and ``s`` of every grid point from ``C^{-1} Phi``, one einsum each."""
-    phi = state.dictionary
-    ci_phi = nx.inv_from_factor(nx.chol_factor(state.model_covariance())) @ phi
-    s_diag = np.real(np.einsum("mg,mg->g", phi.conj(), ci_phi))
-    q_diag = np.real(np.einsum("mg,mg->g", ci_phi.conj(), r @ ci_phi))
-    return q_diag, s_diag
+    """``q`` and ``s`` of every grid point from ``qs_columns`` on the
+    outer products of the state's dictionary."""
+    cinv = nx.inv_from_factor(nx.chol_factor(state.model_covariance()))
+    return qs_columns(outer_products(state.dictionary), cinv, r)
 
 
 def reference_run(g, grid, y, lam, max_iters, tol, cost_trace):
@@ -88,6 +89,39 @@ def draw_problem(problem):
     grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
     y = simulate(SourceScene.from_snr(tuple(u), snr_db), g, n_snap, seed=seed)
     return g, grid, y, lam
+
+
+outer_product_problems = st.tuples(
+    off_grid_positions,
+    st.lists(st.floats(-1.0, 0.999), min_size=1, max_size=40),  # grid
+    st.floats(-1.3, 0.7).map(lambda e: 10.0**e),                 # lam
+    st.integers(1, 8),                                           # snapshots
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestOuterProductKernel:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(outer_product_problems)
+    def test_matches_the_dense_formulas(self, problem):
+        positions, grid, lam, n_snap, seed = problem
+        g = ArrayGeometry(positions)
+        rng = np.random.default_rng(seed)
+        phi = manifold(np.array(grid), g)
+        gamma = rng.uniform(0.0, 3.0, len(grid))
+        psi = outer_products(phi)
+        c = covariance(psi, gamma, lam)
+        dense = (phi * gamma) @ phi.conj().T + lam * np.eye(g.m)
+        assert np.abs(c - dense).max() <= 1e-12 * np.abs(dense).max()
+        x = rng.standard_normal((g.m, n_snap)) + 1j * rng.standard_normal((g.m, n_snap))
+        r = x @ x.conj().T / n_snap
+        cinv = np.linalg.inv(dense)
+        a = cinv @ phi
+        q_ref = np.einsum("mg,mg->g", a.conj(), r @ a).real
+        s_ref = np.einsum("mg,mg->g", phi.conj(), a).real
+        q, s = qs_columns(psi, cinv, r)
+        np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=1e-12 * np.abs(q_ref).max())
+        np.testing.assert_allclose(s, s_ref, rtol=1e-12, atol=0)
 
 
 class TestSblCost:
@@ -217,6 +251,30 @@ class TestSblRun:
         assert costs[2] == costs[1]  # the rise is not accepted
         assert (run.iters, run.capped) == (3, False) and len(calls) == len(costs) == 3
 
+    def test_unfactorable_trial_ends_the_run(self, monkeypatch):
+        # a trial covariance that rounding leaves not positive definite ends
+        # the run like a rise: the last accepted gamma comes back
+        g = ArrayGeometry((0, 1, 2, 3, 7, 11))
+        grid = np.linspace(-1, 1, 101)[:-1]
+        y = simulate(SourceScene.from_snr((-0.42, 0.13), 10.0), g, 64, seed=9)
+        real = nx.chol_factor
+        calls: list[np.ndarray] = []
+
+        def chol(a):
+            calls.append(a)
+            if len(calls) == 3:
+                raise nx.NotPositiveDefiniteError("matrix not positive definite")
+            return real(a)
+
+        monkeypatch.setattr(nx, "chol_factor", chol)
+        costs: list[float] = []
+        run = sbl_run(g, grid, y, lam=1.0, max_iters=1000, cost_trace=costs)
+        assert (run.iters, run.capped) == (3, False) and len(calls) == len(costs) == 3
+        assert costs[2] == costs[1]
+        monkeypatch.setattr(nx, "chol_factor", real)
+        np.testing.assert_array_equal(run.gamma, sbl_run(g, grid, y, lam=1.0, max_iters=2, tol=0.0).gamma)
+        assert sbl_cost(run, scm(y)) == costs[-1]
+
     def test_converged_run_is_stationary(self):
         # a stationary point of the SBL cost has q_i = s_i where gamma_i > 0
         # and q_i <= s_i where gamma_i = 0
@@ -297,6 +355,14 @@ class TestSblRun:
         for bad in (0.0, np.nan, np.inf):  # nan <= 0 is false
             with pytest.raises(SblError, match="lam must be positive and finite"):
                 SblState(good.grid, good.gamma, bad, good.dictionary)
+
+    def test_refuses_a_mismatched_dictionary(self):
+        # the outer products and (q, s) are indexed by the dictionary's
+        # columns, so they must be the grid's points
+        good = SblState.initialize(ArrayGeometry.ula(3), np.linspace(-1, 0.9, 5), 1.0)
+        for bad in (good.dictionary[:, :4], good.dictionary.T, good.dictionary[:, 0], good.dictionary[None]):
+            with pytest.raises(SblError, match="one column per grid point"):
+                SblState(good.grid, good.gamma, good.lam, bad)
 
 
 class TestTopPeaks:
