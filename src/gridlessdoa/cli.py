@@ -88,6 +88,11 @@ def cmd_estimate(args) -> int:
             tpath = f"{prefix}_{name}_cost_trace.csv"
             xp.write_csv(tpath, ["iteration", "ml_cost"], enumerate(diag["cost_trace"]))
             print(f"wrote {tpath}")
+        if args.trace and "rounds" in diag:
+            tpath = f"{prefix}_{name}_rounds.csv"
+            cols = ["round", "grid_size", "sbl_iters", "sbl_cost", "atom_cost"]
+            xp.write_csv(tpath, cols, ([rnd[c] for c in cols] for rnd in diag["rounds"]))
+            print(f"wrote {tpath}")
     xp.write_csv(f"{prefix}_estimates.csv", ["estimator", "u_hat"], rows)
     if cfg.spectrum_grid is not None:  # the covariances the estimators computed
         grid = xp.spectrum_grid(cfg)
@@ -140,7 +145,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("estimate", help="one-shot estimation on one realization")
     _add_common(p)
-    p.add_argument("--trace", action="store_true", help="write per-iteration solver cost CSVs")
+    p.add_argument(
+        "--trace", action="store_true", help="write solver cost traces and refine's per-round table"
+    )
     p.add_argument("--svg", action="store_true", help="also plot the spectra of spectrum.grid")
     p.set_defaults(func=cmd_estimate)
 

@@ -578,11 +578,12 @@ def _write_spectra(cfg: ExperimentConfig, results: list[dict], prefix: str) -> N
 
 
 def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) -> None:
-    """Per-round average RMSE, grid size and SBL cost of the ``refine`` runs."""
+    """Per-round average RMSE, grid size, SBL cost and k-atom cost of the
+    ``refine`` runs."""
     rows = []
     truth = np.asarray(cfg.scene_u)
     for rnd in range(cfg.refine_rounds + 1):
-        errs, sizes, costs = [], [], []
+        errs, sizes, costs, atom_costs = [], [], [], []
         for cell in results:
             rec = cell["results"]["refine"]
             if rec["failed"] or len(rec.get("rounds", [])) <= rnd:
@@ -593,15 +594,18 @@ def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) 
                 errs.append(np.mean((u_hat - truth) ** 2))
             sizes.append(info["grid_size"])
             costs.append(info["sbl_cost"])
+            atom_costs.append(info["atom_cost"])
         rows.append(
             [
                 rnd,
                 math.sqrt(np.mean(errs)) if errs else math.nan,
                 float(np.mean(sizes)) if sizes else math.nan,
                 float(np.mean(costs)) if costs else math.nan,
+                float(np.mean(atom_costs)) if atom_costs else math.nan,
             ]
         )
-    write_csv(f"{prefix}_rounds.csv", ["round", "rmse", "mean_grid_size", "mean_sbl_cost"], rows)
+    header = ["round", "rmse", "mean_grid_size", "mean_sbl_cost", "mean_atom_cost"]
+    write_csv(f"{prefix}_rounds.csv", header, rows)
 
 
 def describe_geometry(g: ArrayGeometry) -> str:

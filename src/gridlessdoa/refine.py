@@ -7,7 +7,10 @@ because pruning keeps the grid near its original size while the local
 resolution multiplies by the subdivision factor every round.  A round's
 estimate is its top-k peak atoms, each re-optimized jointly in (gamma, u)
 against the k-atom likelihood with the atom removed from the model (the
-classic sequential update), by a Newton ascent on q/s.
+classic sequential update), by a Newton ascent on q/s.  Across rounds the
+estimate with the lowest k-atom ML cost so far is kept, so the reported cost
+never rises; behind that guard each round's SBL run stops at the looser
+relative drop ``ROUND_TOL``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ class RefineError(Exception):
 FINISH_SWEEPS = 11
 FINISH_TOL = 1e-10
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+# The relative-drop stop of each round's SBL run (``sbl_run``'s default is
+# 1e-6).  The round's estimate is the k-atom finish, not the SBL state, and
+# the best-cost guard keeps a worse round from replacing a better one.
+ROUND_TOL = 1e-4
 
 
 def gamma_opt(q: float, s: float) -> float:
@@ -98,6 +106,12 @@ def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> Doa
     return DoaEstimate(u=u, powers=gamma)
 
 
+def atom_cost(est: DoaEstimate, lam: float, r: np.ndarray, g: ArrayGeometry) -> float:
+    """The k-atom ML cost ``gaussian_nll(Phi(u) diag(p) Phi(u)^H + lam I, R)``."""
+    phi = manifold(est.u, g)
+    return nx.gaussian_nll((phi * est.powers) @ phi.conj().T + lam * np.eye(g.m), r)
+
+
 def _dedupe_sorted(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     values = np.sort(values)
     if values.size == 0:
@@ -125,11 +139,14 @@ def multires_refine(
     round prunes points with gamma below ``gamma_thresh`` (never a current
     top-k peak), inserts ``4*g_factor + 1`` points per peak spanning two
     local grid spacings per side at ``g_factor``-times finer resolution, and
-    re-runs SBL from scratch.  After r rounds the local resolution is
-    ``(2/grid_size) / g_factor**r``.  Each round's estimate, reported to
-    ``on_round`` as ``u_hat`` and returned after the last round, is
-    ``peak_adjust`` of its SBL state; the next round's grid is built from
-    that state's peaks, not from the estimate.
+    re-runs SBL from scratch, stopping it at a relative drop of
+    ``ROUND_TOL``.  After r rounds the local resolution is
+    ``(2/grid_size) / g_factor**r``.  A round's candidate is ``peak_adjust``
+    of its SBL state, scored by its k-atom ML cost (``atom_cost``).  The
+    lowest-cost estimate so far, the earlier one on ties, is reported to
+    ``on_round`` as ``u_hat`` with its ``atom_cost`` and returned after the
+    last round, so the reported cost never rises.  The next round's grid is
+    built from the SBL state's peaks, not from the estimate.
     """
     if rounds < 0 or g_factor <= 1 or k < 1 or grid_size < 1:
         raise RefineError("rounds must be >= 0, g_factor > 1, k >= 1 and grid_size >= 1")
@@ -145,8 +162,11 @@ def multires_refine(
             grid = np.concatenate([state.grid[keep]] + [state.grid[i] + offsets for i in peaks])
             grid = _dedupe_sorted(grid[(grid >= -1.0) & (grid < 1.0)])
         costs: list[float] = []
-        state = sbl_run(g, grid, y, lam, sbl_iters, cost_trace=costs)
-        est = peak_adjust(state, r_hat, g, k)
+        state = sbl_run(g, grid, y, lam, sbl_iters, tol=ROUND_TOL, cost_trace=costs)
+        cand = peak_adjust(state, r_hat, g, k)
+        cand_cost = atom_cost(cand, state.lam, r_hat, g)
+        if rnd == 0 or cand_cost < cost:
+            est, cost = cand, cand_cost
         if on_round is not None:
             on_round(
                 {
@@ -156,6 +176,7 @@ def multires_refine(
                     "sbl_iters": state.iters,
                     "sbl_cap_hit": state.capped,
                     "u_hat": est.u.tolist(),
+                    "atom_cost": cost,
                 }
             )
     return est

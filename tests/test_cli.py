@@ -470,6 +470,24 @@ class TestCliMain:
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
         assert (tmp_path / "tiny_spectrum.svg").read_text().count("<polyline") == 2
 
+    def test_estimate_trace_writes_refine_rounds(self, tmp_path, capsys):
+        # one row per refinement round, and the k-atom cost of the reported
+        # estimate never rises from one round to the next
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
+            .replace("sweep.axis = snr_db", "sweep.axis = none")
+            .replace("sweep.values = 10,20\n", "")
+            + "refine.grid_size = 40\nrefine.rounds = 3\n"
+        )
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path), "--trace"]) == 0
+        rows = (tmp_path / "tiny_refine_rounds.csv").read_text().splitlines()
+        assert rows[0] == "round,grid_size,sbl_iters,sbl_cost,atom_cost"
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1, 2, 3]
+        costs = [float(r.split(",")[4]) for r in rows[1:]]
+        assert all(math.isfinite(c) for c in costs)
+        assert all(b <= a for a, b in zip(costs, costs[1:])), costs
+
     @pytest.mark.parametrize("estimators", ["structcovmle", "scm-music"])
     def test_estimate_spectrum_solves_mle_once(self, tmp_path, capsys, monkeypatch, estimators):
         # the spectra read the covariances the estimators computed: one MLE

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlessdoa import numerics as nx
+from gridlessdoa import refine
 from gridlessdoa.geometry import ArrayGeometry
 from gridlessdoa.refine import (
     FINISH_SWEEPS,
@@ -276,6 +277,37 @@ class TestMultiresRefine:
             state = sbl_run(OFFGRID, grid, y, 1.0, 5000, cost_trace=costs)
             assert not state.capped and len(costs) == state.iters
             assert all(b < a for a, b in zip(costs, costs[1:])), trial
+
+    def test_best_cost_guard_keeps_the_lowest_cost_round(self):
+        # at an SBL stop of 1e-5, round 5's finish on these trials lands one
+        # atom 0.70 off at a k-atom cost about 3 nat above round 0's; the
+        # guard keeps round 0's estimate
+        u = np.array((-0.6, 0.1, 0.16))
+        with mock.patch.object(refine, "ROUND_TOL", 1e-5):
+            for trial in (17, 29):
+                y = simulate(SourceScene.from_snr(tuple(u), 10.0), OFFGRID, 500, seed=5, trial=trial)
+                logs: list[dict] = []
+                est = multires_refine(y, OFFGRID, 3, on_round=logs.append)
+                assert np.abs(est.u - u).max() < 0.02, (trial, est.u)
+                costs = [rec["atom_cost"] for rec in logs]
+                assert all(b <= a for a, b in zip(costs, costs[1:])), (trial, costs)
+                assert costs[-1] == atom_cost(est.u, est.powers, 1.0, scm(y), OFFGRID), trial
+
+    def test_round_stop_is_slack_on_the_bundled_scene(self):
+        # the looser in-refinement SBL stop still drives the noise-floor
+        # gammas below the pruning threshold, never meets the cap, and
+        # returns what a 1e-6 stop returns
+        scene = SourceScene.from_snr((-0.54, 0.4802), 20.0)
+        bound = 150 + (4 * 3 + 1) * 2
+        for trial in range(7):
+            y = simulate(scene, OFFGRID, 500, seed=61007, trial=trial)
+            logs: list[dict] = []
+            est = multires_refine(y, OFFGRID, 2, on_round=logs.append)
+            assert not any(rec["sbl_cap_hit"] for rec in logs), trial
+            assert all(rec["grid_size"] <= bound for rec in logs), trial
+            with mock.patch.object(refine, "ROUND_TOL", 1e-6):
+                tight = multires_refine(y, OFFGRID, 2)
+            assert np.abs(est.u - tight.u).max() <= 1e-8, trial
 
     def test_validation(self):
         g = OFFGRID
