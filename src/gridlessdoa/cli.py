@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import experiments as xp
 from .geometry import ArrayGeometry, GeometryError
@@ -32,17 +31,10 @@ def _load_config(path: str) -> xp.ExperimentConfig:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the base seed")
-
-
-def _apply_overrides(cfg: xp.ExperimentConfig, args) -> xp.ExperimentConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
 
 
 def cmd_sweep(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args.config)
     meta = xp.run_experiment(cfg, args.out, jobs=args.jobs, svg=args.svg)
     print(
         f"wrote {cfg.out_prefix}_summary.csv ({meta.get('solver_runs', 0)} solver runs, "
@@ -52,7 +44,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args.config)
     scene, n_snap = xp.axis_scene(cfg, 0)
     y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -70,7 +62,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args.config)
     if args.svg and cfg.spectrum_grid is None:
         raise xp.ConfigError("estimate --svg plots the MUSIC spectra, but spectrum.grid is unset")
     scene, n_snap = xp.axis_scene(cfg, 0)
@@ -101,12 +93,12 @@ def cmd_estimate(args) -> int:
         print(f"wrote {prefix}_spectrum.csv")
         if args.svg:
             series = {name: (grid.tolist(), spec.tolist()) for name, spec in specs.items()}
-            xp.write_svg_lines(f"{prefix}_spectrum.svg", series, log_y=True)
+            xp.write_svg_lines(f"{prefix}_spectrum.svg", series)
     return 0
 
 
 def cmd_crb(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for a, value in enumerate(cfg.sweep_values):
@@ -118,7 +110,7 @@ def cmd_crb(args) -> int:
 
 
 def cmd_describe_geometry(args) -> int:
-    if args.positions:
+    if args.positions is not None:
         g = ArrayGeometry.parse(args.positions)
     else:
         g = _load_config(args.config).geometry
@@ -156,13 +148,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_crb)
 
     p = sub.add_parser("describe-geometry", help="print the coarray report")
-    p.add_argument("--config", default=None, help="config file to take the geometry from")
-    p.add_argument("--positions", default=None, help="comma-separated positions, e.g. 0,1,2,3,7,11")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="config file to take the geometry from")
+    source.add_argument("--positions", help="comma-separated positions, e.g. 0,1,2,3,7,11")
     p.set_defaults(func=cmd_describe_geometry)
 
     args = parser.parse_args(argv)
-    if args.command == "describe-geometry" and not (args.config or args.positions):
-        parser.error("describe-geometry needs --config or --positions")
     if args.command == "sweep" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
     try:

@@ -30,7 +30,7 @@ from .geometry import ArrayGeometry, GeometryError, coarray, nested_completion, 
 from .metrics import MetricsError, assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
 from .mlesolve import CompletionPlan, MleConfig, NewtonWork, SolverError, em_gridless, structcov_mle
 from .numerics import NumericsError
-from .refine import RefineError, multires_refine
+from .refine import ROUNDS, RefineError, multires_refine
 from .sbl import SblError
 from .sigmodel import ModelError, SnapshotMatrix, SourceScene, fb_average, scm, simulate
 from .sigmodel import ContiguousLagError, spatial_smooth
@@ -47,7 +47,10 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed config.  A field's default is its key's default; a key whose
-    field has none is required, except ``estimate.k`` (default len(scene.u))."""
+    field has none is required, except ``estimate.k`` (default len(scene.u)).
+    The noise variance and the refinement's grid, resolution factor, pruning
+    threshold and round count are not keys: the runs take the defaults of
+    ``MleConfig`` and ``multires_refine``."""
 
     geometry: ArrayGeometry
     scene_u: tuple[float, ...]
@@ -62,47 +65,33 @@ class ExperimentConfig:
     rho_abs: float = 0.0
     rho_phase: float = 0.0
     solver_iter: int = 20
-    solver_lambda: float = 1.0
-    solver_lambda_m_factor: float = 1000.0
-    refine_grid_size: int = 150
-    refine_g_factor: int = 3
-    refine_gamma_thresh: float = 1e-3
-    refine_rounds: int = 5
     refine_sbl_iters: int = 5000
     spectrum_grid: int | None = None
     out_prefix: str = "experiment"
 
 
-# Each scalar key: its ``ExperimentConfig`` field, type, lower bound (None: no
-# bound), whether the bound is strict, and its meaning.  The bounds are the
-# ranges the solvers enforce, checked here so a bad value is a config error and
-# not a sweep of failed trials.
+# Each scalar key: its ``ExperimentConfig`` field, type, inclusive lower bound
+# (None: no bound) and meaning.  The bounds are the ranges the solvers enforce,
+# checked here so a bad value is a config error and not a sweep of failed trials.
 _SCALARS = {
-    "experiment.trials": ("trials", int, 1, False, "trials per sweep value"),
-    "experiment.seed": ("seed", int, None, False, "base seed of every trial's draw"),
-    "scene.rho_abs": ("rho_abs", float, None, False, "correlation magnitude in [0, 1]"),
-    "scene.rho_phase": ("rho_phase", float, None, False, "correlation phase in radians"),
-    "scene.snapshots": ("snapshots", int, 1, False, "snapshots per trial"),
-    "estimate.k": ("k", int, 1, False, "number of sources to estimate (len(scene.u) if unset)"),
-    "solver.iter": ("solver_iter", int, 1, False, "outer MM iterations"),
-    "solver.lambda": ("solver_lambda", float, 0, True, "noise variance fed to the solver"),
-    "solver.lambda_m_factor": ("solver_lambda_m_factor", float, 0, True, "latent-sensor noise"
-                               " multiplier; sets how fast em converges, not where"),
-    "refine.grid_size": ("refine_grid_size", int, 1, False, "initial uniform grid size"),
-    "refine.g_factor": ("refine_g_factor", int, 1, True, "per-round resolution factor"),
-    "refine.gamma_thresh": ("refine_gamma_thresh", float, 0, False, "pruning threshold"),
-    "refine.rounds": ("refine_rounds", int, 0, False, "refinement rounds"),
-    "refine.sbl_iters": ("refine_sbl_iters", int, 1, False, "SBL iteration cap per run"),
-    "spectrum.grid": ("spectrum_grid", int, 1, False, "MUSIC spectrum grid size; when set, sweep"
+    "experiment.trials": ("trials", int, 1, "trials per sweep value"),
+    "experiment.seed": ("seed", int, None, "base seed of every trial's draw"),
+    "scene.rho_abs": ("rho_abs", float, None, "correlation magnitude in [0, 1]"),
+    "scene.rho_phase": ("rho_phase", float, None, "correlation phase in radians"),
+    "scene.snapshots": ("snapshots", int, 1, "snapshots per trial"),
+    "estimate.k": ("k", int, 1, "number of sources to estimate (len(scene.u) if unset)"),
+    "solver.iter": ("solver_iter", int, 1, "outer MM iterations"),
+    "refine.sbl_iters": ("refine_sbl_iters", int, 1, "SBL iteration cap per run"),
+    "spectrum.grid": ("spectrum_grid", int, 1, "MUSIC spectrum grid size; when set, sweep"
                       " and estimate write spectra, which need sweep.axis none and no refine"),
-    "output.prefix": ("out_prefix", str, None, False, "file name prefix for artifacts"),
+    "output.prefix": ("out_prefix", str, None, "file name prefix for artifacts"),
 }
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
-def _scalar_text(name: str, cast: type, low, strict: bool, meaning: str) -> str:
+def _scalar_text(name: str, cast: type, low, meaning: str) -> str:
     """The ``CONFIG_KEYS`` text of one ``_SCALARS`` row."""
-    bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+    bound = "" if low is None else f" >= {low}"
     default = _DEFAULTS[name]
     shown = "" if default is MISSING else f" (default {'unset' if default is None else default})"
     return f"{cast.__name__}{bound}{shown}: {meaning}"
@@ -128,13 +117,13 @@ def _fail(key: str, why: str):
 
 def _scalar(key: str, text: str):
     """The value of scalar key ``key``, checked against its ``_SCALARS`` row."""
-    _, cast, low, strict, _ = _SCALARS[key]
+    _, cast, low, _ = _SCALARS[key]
     try:
         value = cast(text)
     except ValueError:
         _fail(key, f"could not parse {text!r} as {cast.__name__}")
     finite = cast is not float or math.isfinite(value)
-    if not finite or low is not None and (value <= low if strict else value < low):
+    if not finite or low is not None and value < low:
         _fail(key, f"{text} is out of range")
     return value
 
@@ -142,14 +131,18 @@ def _scalar(key: str, text: str):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate the flat key = value config format."""
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = body.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"config key '{key}': set on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        raw[key] = value
 
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
@@ -267,12 +260,7 @@ def _mle_config(cfg: ExperimentConfig, diagnostics: dict) -> MleConfig:
     """Solver settings of ``cfg``; each ML cost goes to ``diagnostics["cost_trace"]``
     and the run's Newton work to ``diagnostics["newton"]``."""
     trace = diagnostics["cost_trace"] = []
-    mle = MleConfig(
-        lam=cfg.solver_lambda,
-        lam_m=cfg.solver_lambda * cfg.solver_lambda_m_factor,
-        outer_iters=cfg.solver_iter,
-        callback=lambda _k, _v, cost: trace.append(cost),
-    )
+    mle = MleConfig(outer_iters=cfg.solver_iter, callback=lambda _k, _v, cost: trace.append(cost))
     diagnostics["newton"] = mle.newton
     return mle
 
@@ -330,16 +318,7 @@ def run_estimator(
     if name == "refine":
         rounds: list[dict] = []
         est = multires_refine(
-            y,
-            cfg.geometry,
-            cfg.k,
-            lam=cfg.solver_lambda,
-            grid_size=cfg.refine_grid_size,
-            g_factor=cfg.refine_g_factor,
-            gamma_thresh=cfg.refine_gamma_thresh,
-            rounds=cfg.refine_rounds,
-            sbl_iters=cfg.refine_sbl_iters,
-            on_round=rounds.append,
+            y, cfg.geometry, cfg.k, sbl_iters=cfg.refine_sbl_iters, on_round=rounds.append
         )
         diagnostics["rounds"] = rounds
         return est
@@ -421,22 +400,24 @@ def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def write_svg_lines(path, series: dict[str, tuple[list[float], list[float]]], log_y: bool) -> None:
-    """Minimal polyline plot; one series per estimator, optional log10 y.
+def write_svg_lines(path, series: dict[str, tuple[list[float], list[float]]]) -> None:
+    """Minimal polyline plot; one series per estimator, log10 y.
 
     Points with a non-finite x or y are left out; nothing is written when no
     point is left (an ``axis = none`` sweep has the single x value NaN).
     """
     width, height, pad = 640, 420, 50
     finite = {
-        name: [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+        name: [
+            (x, math.log10(max(y, 1e-12)))
+            for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)
+        ]
         for name, (xs, ys) in series.items()
     }
     pts_all = [pt for pts in finite.values() for pt in pts]
     if not pts_all:
         return
-    ys = [math.log10(max(y, 1e-12)) if log_y else y for _, y in pts_all]
-    xs = [x for x, _ in pts_all]
+    xs, ys = zip(*pts_all)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:
@@ -448,8 +429,7 @@ def write_svg_lines(path, series: dict[str, tuple[list[float], list[float]]], lo
         return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
 
     def sy(y):
-        yy = math.log10(max(y, 1e-12)) if log_y else y
-        return height - pad - (yy - y0) / (y1 - y0) * (height - 2 * pad)
+        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
     parts = [
@@ -561,7 +541,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     if svg:
-        write_svg_lines(f"{prefix}.svg", series, log_y=True)
+        write_svg_lines(f"{prefix}.svg", series)
     return meta
 
 
@@ -582,7 +562,7 @@ def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) 
     ``refine`` runs."""
     rows = []
     truth = np.asarray(cfg.scene_u)
-    for rnd in range(cfg.refine_rounds + 1):
+    for rnd in range(ROUNDS + 1):
         errs, sizes, costs, atom_costs = [], [], [], []
         for cell in results:
             rec = cell["results"]["refine"]

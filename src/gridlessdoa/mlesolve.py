@@ -84,13 +84,14 @@ class NewtonWork:
 class MleConfig:
     """Model and outer-loop settings of the ML estimators.
 
-    ``lam`` is the noise variance fed to the model (assumed known).  The EM
-    variant additionally uses ``lam_m`` for the latent sensors; when unset it
-    defaults to ``1e3 * lam``.  The outer loop runs ``outer_iters`` subproblem
-    solves with no early stop.  The barrier path is the module's
-    ``BARRIER_STAGES`` table, so no field sets anything in the subproblem
-    solve.  ``newton`` is an output only: every solve run with this config
-    adds its Newton work to it, and it never changes an iterate.
+    ``lam`` is the noise variance fed to the model (assumed known); its
+    default 1.0 is the unit noise variance ``SourceScene.from_snr`` draws.
+    The EM variant additionally uses ``lam_m`` for the latent sensors; when
+    unset it defaults to ``1e3 * lam`` (``lam_missing``).  The outer loop runs
+    ``outer_iters`` subproblem solves with no early stop.  The barrier path is
+    the module's ``BARRIER_STAGES`` table, so no field sets anything in the
+    subproblem solve.  ``newton`` is an output only: every solve run with this
+    config adds its Newton work to it, and it never changes an iterate.
     """
 
     lam: float = 1.0

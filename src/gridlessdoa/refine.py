@@ -40,6 +40,8 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 # 1e-6).  The round's estimate is the k-atom finish, not the SBL state, and
 # the best-cost guard keeps a worse round from replacing a better one.
 ROUND_TOL = 1e-4
+# Refinement rounds after round 0 (``multires_refine``'s default).
+ROUNDS = 5
 
 
 def gamma_opt(q: float, s: float) -> float:
@@ -129,19 +131,20 @@ def multires_refine(
     grid_size: int = 150,
     g_factor: int = 3,
     gamma_thresh: float = 1e-3,
-    rounds: int = 5,
+    rounds: int = ROUNDS,
     sbl_iters: int = 5000,
     on_round: Callable[[dict], None] | None = None,
 ) -> DoaEstimate:
     """Multi-resolution SBL: prune, subdivide around peaks, re-run, adjust.
 
-    Round 0 runs SBL on a uniform grid of ``grid_size`` points.  Each later
-    round prunes points with gamma below ``gamma_thresh`` (never a current
-    top-k peak), inserts ``4*g_factor + 1`` points per peak spanning two
-    local grid spacings per side at ``g_factor``-times finer resolution, and
-    re-runs SBL from scratch, stopping it at a relative drop of
-    ``ROUND_TOL``.  After r rounds the local resolution is
-    ``(2/grid_size) / g_factor**r``.  A round's candidate is ``peak_adjust``
+    ``lam`` is the known noise variance (default 1.0, the unit noise variance
+    ``SourceScene.from_snr`` draws).  Round 0 runs SBL on a uniform grid of
+    ``grid_size`` points.  Each later round prunes points with gamma below
+    ``gamma_thresh`` (never a current top-k peak), inserts ``4*g_factor + 1``
+    points per peak spanning two local grid spacings per side at
+    ``g_factor``-times finer resolution, and re-runs SBL from scratch,
+    stopping it at a relative drop of ``ROUND_TOL``.  After r rounds the
+    local resolution is ``(2/grid_size) / g_factor**r``.  A round's candidate is ``peak_adjust``
     of its SBL state, scored by its k-atom ML cost (``atom_cost``).  The
     lowest-cost estimate so far, the earlier one on ties, is reported to
     ``on_round`` as ``u_hat`` with its ``atom_cost`` and returned after the

@@ -22,6 +22,7 @@ from gridlessdoa.experiments import (
 )
 from gridlessdoa.geometry import ArrayGeometry, GeometryError
 from gridlessdoa.numerics import NumericsError
+from gridlessdoa.refine import ROUNDS, RefineError
 
 BASE_CONFIG = """
 experiment.trials = 2
@@ -37,12 +38,41 @@ sweep.values = 10,20
 output.prefix = tiny
 """
 
+# Keys a config once took, refused now as unknown.
+REMOVED_KEYS = (
+    "solver.lambda", "solver.lambda_m_factor", "solver.inner_iter", "refine.grid_size",
+    "refine.g_factor", "refine.gamma_thresh", "refine.rounds",
+)
+
+
+def with_lines(text: str, lines: str) -> str:
+    """``text`` with each ``key = value`` line of ``lines`` in place of the
+    line that sets its key, or appended where none does (a config may set a
+    key only once)."""
+    out = text.splitlines()
+    for line in lines.splitlines():
+        key = line.split("=")[0].strip()
+        at = [i for i, old in enumerate(out) if old.split("=")[0].strip() == key]
+        if at:
+            out[at[0]] = line
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
 # Spectra kept: no sweep axis, covariance estimators, spectrum.grid set.
 SPECTRUM_CONFIG = (
     BASE_CONFIG.replace("estimators = scm-music", "estimators = scm-music,fb-music")
     .replace("sweep.axis = snr_db", "sweep.axis = none")
     .replace("sweep.values = 10,20\n", "")
     + "spectrum.grid = 32\n"
+)
+
+# Grid SBL with refinement at multires_refine's defaults (rounds 0-5).
+REFINE_CONFIG = (
+    BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
+    .replace("sweep.axis = snr_db", "sweep.axis = none")
+    .replace("sweep.values = 10,20\n", "")
 )
 
 # Spectra of the solver-backed covariances on a sparse (nested) array.
@@ -102,14 +132,37 @@ class TestParseConfig:
         ],
     )
     def test_out_of_range_solver_keys(self, tmp_path, capsys, line):
-        # the solvers would reject these per trial; the config rejects them once
+        # the solvers would reject these per trial; the config rejects them
+        # once. The noise variances and the refinement's grid, resolution
+        # factor, pruning threshold and rounds are the solvers' defaults, not
+        # keys, and solver.inner_iter was never one: those are refused as unknown.
         key = line.split(" = ")[0]
-        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
-            parse_config(BASE_CONFIG + line + "\n")
+        message = f"unknown config keys: ['{key}']" if key in REMOVED_KEYS else f"'{key}'"
+        text = with_lines(BASE_CONFIG, line)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
         path = tmp_path / "bad.cfg"
-        path.write_text(BASE_CONFIG + line + "\n")
+        path.write_text(text)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, key, lines",
+        [("solver.iter = 3", "solver.iter", (12, 14)), ("scene.u = -0.4,0.4", "scene.u", (5, 14))],
+        ids=["solver.iter", "scene.u"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, capsys, extra, key, lines):
+        # a key set twice is an error naming both lines, never a silent override
+        text = (resources.files("gridlessdoa") / "configs" / "fig_snr.cfg").read_text()
+        text += extra + "\n"
+        message = f"config key '{key}': set on lines {lines[0]} and {lines[1]}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "text",
@@ -159,12 +212,6 @@ class TestParseConfig:
             ("scene.snapshots", "snapshots", "int >= 1"),
             ("estimate.k", "k", "int >= 1"),
             ("solver.iter", "solver_iter", "int >= 1"),
-            ("solver.lambda", "solver_lambda", "float > 0"),
-            ("solver.lambda_m_factor", "solver_lambda_m_factor", "float > 0"),
-            ("refine.grid_size", "refine_grid_size", "int >= 1"),
-            ("refine.g_factor", "refine_g_factor", "int > 1"),
-            ("refine.gamma_thresh", "refine_gamma_thresh", "float >= 0"),
-            ("refine.rounds", "refine_rounds", "int >= 0"),
             ("refine.sbl_iters", "refine_sbl_iters", "int >= 1"),
             ("spectrum.grid", "spectrum_grid", "int >= 1"),
             ("output.prefix", "out_prefix", "str"),
@@ -211,10 +258,11 @@ class TestParseConfig:
         # gridless fits integer positions, all need k below their covariance
         # order), and no sweep value or estimator may repeat, so a bad value
         # exits 2 naming its key instead of failing (or running twice) later
+        text = with_lines(BASE_CONFIG, lines)
         with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
-            parse_config(BASE_CONFIG + lines + "\n")
+            parse_config(text)
         path = tmp_path / "bad.cfg"
-        path.write_text(BASE_CONFIG + lines + "\n")
+        path.write_text(text)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
@@ -338,28 +386,32 @@ class TestRunExperiment:
 
     def test_sbl_cap_hits_in_meta(self, tmp_path):
         cfg = parse_config(
-            BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
-            .replace("experiment.trials = 2", "experiment.trials = 1")
-            .replace("sweep.axis = snr_db", "sweep.axis = none")
-            .replace("sweep.values = 10,20\n", "")
-            + "refine.grid_size = 40\nrefine.rounds = 1\nrefine.sbl_iters = 5\n"
+            REFINE_CONFIG.replace("experiment.trials = 2", "experiment.trials = 1")
+            + "refine.sbl_iters = 5\n"
         )
         run_experiment(cfg, tmp_path)
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
-        assert meta["sbl_cap_hits"] == 2  # rounds 0 and 1, both stopped at 5 iterations
+        assert meta["sbl_cap_hits"] == 6  # rounds 0-5, each stopped at 5 iterations
+
+    def test_round_table_of_failed_refine_sweep(self, tmp_path, monkeypatch):
+        # every refine trial fails, and the round table still has one nan row
+        # per round of multires_refine's default count
+        def fail(*args, **kwargs):
+            raise RefineError("no estimate")
+
+        monkeypatch.setattr(experiments, "multires_refine", fail)
+        run_experiment(parse_config(REFINE_CONFIG), tmp_path)
+        rows = (tmp_path / "tiny_rounds.csv").read_text().splitlines()
+        assert rows[0] == "round,rmse,mean_grid_size,mean_sbl_cost,mean_atom_cost"
+        assert rows[1:] == [f"{rnd},nan,nan,nan,nan" for rnd in range(ROUNDS + 1)]
 
     def test_sbl_iters_in_meta(self, tmp_path):
         # the meta totals SBL iterations over all trials and rounds; no CSV has them
-        cfg = parse_config(
-            BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
-            .replace("sweep.axis = snr_db", "sweep.axis = none")
-            .replace("sweep.values = 10,20\n", "")
-            + "refine.grid_size = 40\nrefine.rounds = 1\n"
-        )
+        cfg = parse_config(REFINE_CONFIG)
         run_experiment(cfg, tmp_path)
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
         rounds = [rnd for t in range(2) for rnd in run_one_trial(cfg, 0, t)["results"]["refine"]["rounds"]]
-        assert len(rounds) == 4 and meta["sbl_cap_hits"] == 0
+        assert len(rounds) == 12 and meta["sbl_cap_hits"] == 0  # 2 trials, rounds 0-5
         assert meta["sbl_iters"] == sum(rnd["sbl_iters"] for rnd in rounds) > 4
         for path in tmp_path.glob("*.csv"):
             assert "sbl_iters" not in path.read_text()
@@ -396,9 +448,10 @@ class TestRunExperiment:
 
     def test_svg_finite_points_and_right_edge_at_zero(self, tmp_path):
         path = tmp_path / "p.svg"
-        write_svg_lines(path, {"a": ([-10.0, math.nan, 0.0], [1.0, 5.0, 2.0])}, log_y=False)
+        write_svg_lines(path, {"a": ([-10.0, math.nan, 0.0], [1.0, 5.0, 2.0])})
         pts = re.search(r'points="([^"]*)"', path.read_text()).group(1)
-        # x = 0 is the right edge (640 - 50), and the NaN-x point is dropped
+        # x = 0 is the right edge (640 - 50), and the NaN-x point is dropped;
+        # log10 y spans [0, log10 2], so y = 1 and 2 are the bottom and top
         assert pts.split() == ["50.0,370.0", "590.0,50.0"]
 
 
@@ -443,6 +496,20 @@ class TestCliMain:
         assert "holes: 2, 3, 7, 8" in out
         assert "aperture: 12" in out
 
+    def test_describe_geometry_takes_one_source(self, tmp_path, capsys):
+        # --config and --positions are two sources of one geometry: giving
+        # both, or neither, is a usage error, whatever the config holds
+        cfg = self.write_config(tmp_path)
+        assert main(["describe-geometry", "--config", cfg]) == 0
+        assert "positions: 0, 1, 2, 3\n" in capsys.readouterr().out
+        missing = str(tmp_path / "none.cfg")
+        for args in ([], ["--config", cfg, "--positions", "0,1"],
+                     ["--config", missing, "--positions", "0,1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["describe-geometry", *args])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
     def test_simulate_and_estimate(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -474,16 +541,11 @@ class TestCliMain:
         # one row per refinement round, and the k-atom cost of the reported
         # estimate never rises from one round to the next
         path = tmp_path / "exp.cfg"
-        path.write_text(
-            BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
-            .replace("sweep.axis = snr_db", "sweep.axis = none")
-            .replace("sweep.values = 10,20\n", "")
-            + "refine.grid_size = 40\nrefine.rounds = 3\n"
-        )
+        path.write_text(REFINE_CONFIG)
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path), "--trace"]) == 0
         rows = (tmp_path / "tiny_refine_rounds.csv").read_text().splitlines()
         assert rows[0] == "round,grid_size,sbl_iters,sbl_cost,atom_cost"
-        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1, 2, 3]
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1, 2, 3, 4, 5]
         costs = [float(r.split(",")[4]) for r in rows[1:]]
         assert all(math.isfinite(c) for c in costs)
         assert all(b <= a for a, b in zip(costs, costs[1:])), costs
@@ -542,7 +604,7 @@ class TestCliMain:
     @pytest.mark.parametrize(
         "command, flag",
         [("simulate", "--jobs=2"), ("simulate", "--svg"), ("crb", "--jobs=2"), ("crb", "--svg"),
-         ("estimate", "--jobs=2")],
+         ("estimate", "--jobs=2"), ("sweep", "--seed=1")],
     )
     def test_flags_only_where_they_act(self, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
