@@ -1,10 +1,11 @@
 """Command-line front end for the experiment harness.
 
 Subcommands: ``sweep`` runs a Monte-Carlo experiment from a config file,
-``simulate`` dumps raw snapshots, ``estimate`` runs the estimators on one
-realization, ``crb`` writes the bound's reference curve, and
-``describe-geometry`` reports the coarray of a geometry.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for runtime failures.
+``simulate`` dumps raw snapshots, ``estimate`` runs the sweep's first trial
+(``run_one_trial(cfg, 0, 0)``), ``crb`` writes the bound's reference curve,
+and ``describe-geometry`` reports the coarray of a geometry.  Exit codes: 0
+on success, 2 for configuration errors, 3 for runtime failures (in
+``estimate``, any estimator that failed).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from . import experiments as xp
 from .geometry import ArrayGeometry, GeometryError
 from .sigmodel import simulate
-from .estimate import music_spectrum
 
 
 def _load_config(path: str) -> xp.ExperimentConfig:
@@ -65,34 +65,32 @@ def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
     if args.svg and cfg.spectrum_grid is None:
         raise xp.ConfigError("estimate --svg plots the MUSIC spectra, but spectrum.grid is unset")
-    scene, n_snap = xp.axis_scene(cfg, 0)
-    y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
+    records = xp.run_one_trial(cfg, 0, 0)["results"]
+    failed = [f"{name}: {rec['message']}" for name, rec in records.items() if rec["failed"]]
+    if failed:
+        raise RuntimeError("; ".join(failed))
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, cfg.out_prefix)
-    rows, covariances = [], {}
-    for name in cfg.estimators:
-        diag: dict = {}
-        est = xp.run_estimator(name, y, cfg, diag)
-        covariances[name] = diag.get("covariance")
-        rows.append([name, ";".join(f"{u:.12g}" for u in est.u)])
-        print(f"{name}: " + " ".join(f"{u:+.6f}" for u in est.u))
-        if args.trace and "cost_trace" in diag:
+    for name, rec in records.items():
+        print(f"{name}: " + " ".join(f"{u:+.6f}" for u in rec["u_hat"]))
+        if args.trace and "cost_trace" in rec:
             tpath = f"{prefix}_{name}_cost_trace.csv"
-            xp.write_csv(tpath, ["iteration", "ml_cost"], enumerate(diag["cost_trace"]))
+            xp.write_csv(tpath, ["iteration", "ml_cost"], enumerate(rec["cost_trace"]))
             print(f"wrote {tpath}")
-        if args.trace and "rounds" in diag:
+        if args.trace and "rounds" in rec:
             tpath = f"{prefix}_{name}_rounds.csv"
             cols = ["round", "grid_size", "sbl_iters", "sbl_cost", "atom_cost"]
-            xp.write_csv(tpath, cols, ([rnd[c] for c in cols] for rnd in diag["rounds"]))
+            xp.write_csv(tpath, cols, ([rnd[c] for c in cols] for rnd in rec["rounds"]))
             print(f"wrote {tpath}")
+    rows = [[name, ";".join(f"{u:.12g}" for u in rec["u_hat"])] for name, rec in records.items()]
     xp.write_csv(f"{prefix}_estimates.csv", ["estimator", "u_hat"], rows)
-    if cfg.spectrum_grid is not None:  # the covariances the estimators computed
+    if cfg.spectrum_grid is not None:
         grid = xp.spectrum_grid(cfg)
-        specs = {name: music_spectrum(cov, cfg.k, grid) for name, cov in covariances.items()}
+        specs = {name: rec["spectrum"] for name, rec in records.items()}
         xp.write_csv(f"{prefix}_spectrum.csv", ["u", *specs], zip(grid, *specs.values()))
         print(f"wrote {prefix}_spectrum.csv")
         if args.svg:
-            series = {name: (grid.tolist(), spec.tolist()) for name, spec in specs.items()}
+            series = {name: (grid.tolist(), spec) for name, spec in specs.items()}
             xp.write_svg_lines(f"{prefix}_spectrum.svg", series)
     return 0
 

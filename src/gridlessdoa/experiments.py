@@ -47,17 +47,16 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed config.  A field's default is its key's default; a key whose
-    field has none is required, except ``estimate.k`` (default len(scene.u)).
-    The noise variance and the refinement's grid, resolution factor, pruning
-    threshold and round count are not keys: the runs take the defaults of
-    ``MleConfig`` and ``multires_refine``."""
+    field has none is required.  The source count ``k`` is not a key: it is
+    the scene's, ``len(scene_u)``.  Nor are the noise variance and the
+    refinement's grid, resolution factor, pruning threshold and round count:
+    the runs take the defaults of ``MleConfig`` and ``multires_refine``."""
 
     geometry: ArrayGeometry
     scene_u: tuple[float, ...]
     scene_snr_db: tuple[float, ...]
     snapshots: int
     estimators: tuple[str, ...]
-    k: int
     sweep_axis: str
     sweep_values: tuple[float, ...]
     trials: int
@@ -69,6 +68,11 @@ class ExperimentConfig:
     spectrum_grid: int | None = None
     out_prefix: str = "experiment"
 
+    @property
+    def k(self) -> int:
+        """Number of sources every estimator estimates: the scene's."""
+        return len(self.scene_u)
+
 
 # Each scalar key: its ``ExperimentConfig`` field, type, inclusive lower bound
 # (None: no bound) and meaning.  The bounds are the ranges the solvers enforce,
@@ -79,12 +83,11 @@ _SCALARS = {
     "scene.rho_abs": ("rho_abs", float, None, "correlation magnitude in [0, 1]"),
     "scene.rho_phase": ("rho_phase", float, None, "correlation phase in radians"),
     "scene.snapshots": ("snapshots", int, 1, "snapshots per trial"),
-    "estimate.k": ("k", int, 1, "number of sources to estimate (len(scene.u) if unset)"),
     "solver.iter": ("solver_iter", int, 1, "outer MM iterations"),
     "refine.sbl_iters": ("refine_sbl_iters", int, 1, "SBL iteration cap per run"),
     "spectrum.grid": ("spectrum_grid", int, 1, "MUSIC spectrum grid size; when set, sweep"
                       " and estimate write spectra, which need sweep.axis none and no refine"),
-    "output.prefix": ("out_prefix", str, None, "file name prefix for artifacts"),
+    "output.prefix": ("out_prefix", str, None, "file name prefix for artifacts (no directory)"),
 }
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
@@ -125,6 +128,8 @@ def _scalar(key: str, text: str):
     finite = cast is not float or math.isfinite(value)
     if not finite or low is not None and value < low:
         _fail(key, f"{text} is out of range")
+    if cast is str and (not value or os.path.basename(value) != value):
+        _fail(key, f"{text!r} is not a file name")
     return value
 
 
@@ -165,7 +170,7 @@ def parse_config(text: str) -> ExperimentConfig:
     # Scalars left out take their ``ExperimentConfig`` default.
     scalars = {}
     for key, (name, *_) in _SCALARS.items():
-        if key in raw or (_DEFAULTS[name] is MISSING and name != "k"):
+        if key in raw or _DEFAULTS[name] is MISSING:
             scalars[name] = _scalar(key, need(key))
 
     try:
@@ -202,14 +207,13 @@ def parse_config(text: str) -> ExperimentConfig:
     elif axis == "snapshots" and any(x < 1 or x != int(x) for x in values):
         _fail("sweep.values", "snapshot counts must be integers >= 1")
 
-    k = scalars.setdefault("k", len(u))
     for name in (e for e in estimators if e != "refine"):
         try:
             order = covariance_order(name, geometry)
         except GeometryError as exc:
             _fail("estimators", f"{name} cannot run on this geometry: {exc}")
-        if k >= order:
-            _fail("estimators", f"{name} needs estimate.k < {order}, its covariance order; got {k}")
+        if len(u) >= order:
+            _fail("estimators", f"{name} needs fewer sources than its order {order}; got {len(u)}")
     cfg = ExperimentConfig(geometry=geometry, scene_u=u, scene_snr_db=snr, estimators=estimators,
                            sweep_axis=axis, sweep_values=values, **scalars)
     if cfg.spectrum_grid is not None and ("refine" in estimators or axis != "none"):
@@ -246,7 +250,7 @@ def axis_crb(cfg: ExperimentConfig, axis_index: int) -> float:
     """CRB in RMSE units at sweep value ``axis_index``; nan where no bound applies."""
     scene, n_snap = axis_scene(cfg, axis_index)
     try:
-        return crb_rmse(scene, cfg.geometry, n_snap) if cfg.k == scene.k else math.nan
+        return crb_rmse(scene, cfg.geometry, n_snap)
     except (MetricsError, NumericsError):
         return math.nan
 
@@ -358,8 +362,8 @@ def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
     """One (axis value, trial) cell: simulate once, run every estimator.
 
     Each estimate is scored here, once; with ``spectrum.grid`` set, an
-    estimate that scored also keeps its covariance's MUSIC spectrum.
-    """
+    estimate that scored also keeps its covariance's MUSIC spectrum.  A
+    record keeps its run's ML-cost trace and refinement rounds, if any."""
     scene, n_snap = axis_scene(cfg, axis_index)
     y = simulate(scene, cfg.geometry, n_snap, seed=cfg.seed, trial=axis_index * 1_000_000 + trial)
     out: dict = {"axis_index": axis_index, "trial": trial, "results": {}}
@@ -380,8 +384,8 @@ def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
             record = {"u_hat": [], "errors": [], "failed": True, "message": str(exc)}
         record["runtime_s"] = time.perf_counter() - start
         _record_solver(record, diagnostics)
-        if "rounds" in diagnostics:
-            record["rounds"] = diagnostics["rounds"]
+        kept = ("cost_trace", "rounds")
+        record.update({key: diagnostics[key] for key in kept if key in diagnostics})
         out["results"][name] = record
     return out
 
@@ -569,9 +573,7 @@ def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) 
             if rec["failed"] or len(rec.get("rounds", [])) <= rnd:
                 continue
             info = rec["rounds"][rnd]
-            u_hat = np.sort(np.asarray(info["u_hat"]))
-            if u_hat.size == truth.size:
-                errs.append(np.mean((u_hat - truth) ** 2))
+            errs.append(np.mean((np.sort(info["u_hat"]) - truth) ** 2))
             sizes.append(info["grid_size"])
             costs.append(info["sbl_cost"])
             atom_costs.append(info["atom_cost"])

@@ -21,6 +21,7 @@ from gridlessdoa.experiments import (
     write_svg_lines,
 )
 from gridlessdoa.geometry import ArrayGeometry, GeometryError
+from gridlessdoa.metrics import MetricsError
 from gridlessdoa.numerics import NumericsError
 from gridlessdoa.refine import ROUNDS, RefineError
 
@@ -31,7 +32,6 @@ geometry.positions = 0,1,2,3
 scene.u = -0.5,0.5
 scene.snr_db = 20
 scene.snapshots = 64
-estimate.k = 2
 estimators = scm-music
 sweep.axis = snr_db
 sweep.values = 10,20
@@ -41,7 +41,7 @@ output.prefix = tiny
 # Keys a config once took, refused now as unknown.
 REMOVED_KEYS = (
     "solver.lambda", "solver.lambda_m_factor", "solver.inner_iter", "refine.grid_size",
-    "refine.g_factor", "refine.gamma_thresh", "refine.rounds",
+    "refine.g_factor", "refine.gamma_thresh", "refine.rounds", "estimate.k",
 )
 
 
@@ -129,13 +129,15 @@ class TestParseConfig:
             "refine.sbl_iters = 0",
             "refine.gamma_thresh = -0.001",
             "spectrum.grid = 0",
+            "estimate.k = 2",
         ],
     )
     def test_out_of_range_solver_keys(self, tmp_path, capsys, line):
         # the solvers would reject these per trial; the config rejects them
         # once. The noise variances and the refinement's grid, resolution
-        # factor, pruning threshold and rounds are the solvers' defaults, not
-        # keys, and solver.inner_iter was never one: those are refused as unknown.
+        # factor, pruning threshold and rounds are the solvers' defaults and the
+        # source count is the scene's, not keys, and solver.inner_iter was never
+        # one: those are refused as unknown.
         key = line.split(" = ")[0]
         message = f"unknown config keys: ['{key}']" if key in REMOVED_KEYS else f"'{key}'"
         text = with_lines(BASE_CONFIG, line)
@@ -146,9 +148,23 @@ class TestParseConfig:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["sub/x", ""], ids=["directory", "empty"])
+    def test_prefix_must_be_a_file_name(self, tmp_path, capsys, prefix):
+        # the prefix names files in --out; a directory in it (or no name at
+        # all) is refused before any trial runs, not after the sweep
+        text = with_lines(BASE_CONFIG, f"output.prefix = {prefix}")
+        message = f"config key 'output.prefix': {prefix!r} is not a file name"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "extra, key, lines",
-        [("solver.iter = 3", "solver.iter", (12, 14)), ("scene.u = -0.4,0.4", "scene.u", (5, 14))],
+        [("solver.iter = 3", "solver.iter", (11, 13)), ("scene.u = -0.4,0.4", "scene.u", (5, 13))],
         ids=["solver.iter", "scene.u"],
     )
     def test_repeated_key_is_refused(self, tmp_path, capsys, extra, key, lines):
@@ -187,7 +203,7 @@ class TestParseConfig:
 
     def test_required_keys_only_take_the_field_defaults(self):
         # ExperimentConfig holds the only defaults: a config of the required
-        # keys parses to them, with estimate.k = len(scene.u) and no spectra
+        # keys parses to them, with k = len(scene.u) and no spectra
         required = [
             "experiment.trials = 2", "experiment.seed = 321", "geometry.positions = 0,1,2,3",
             "scene.u = -0.5,0.5", "scene.snr_db = 20", "scene.snapshots = 64",
@@ -210,7 +226,6 @@ class TestParseConfig:
             ("scene.rho_abs", "rho_abs", "float"),
             ("scene.rho_phase", "rho_phase", "float"),
             ("scene.snapshots", "snapshots", "int >= 1"),
-            ("estimate.k", "k", "int >= 1"),
             ("solver.iter", "solver_iter", "int >= 1"),
             ("refine.sbl_iters", "refine_sbl_iters", "int >= 1"),
             ("spectrum.grid", "spectrum_grid", "int >= 1"),
@@ -246,7 +261,7 @@ class TestParseConfig:
             ("geometry.positions = 0,1,2.1,3.5,4.7,10\nestimators = scm-music", "estimators"),
             ("geometry.positions = 0,1,2,3,7,11\nestimators = scm-music,fb-music", "estimators"),
             ("geometry.positions = 0,1,5,6,10,11\nestimators = method1", "estimators"),
-            ("estimate.k = 4", "estimators"),
+            ("scene.u = -0.6,-0.2,0.2,0.6", "estimators"),
             ("sweep.values = 10,10,20", "sweep.values"),
             ("estimators = scm-music,scm-music", "estimators"),
         ],
@@ -348,11 +363,15 @@ class TestRunExperiment:
         assert all(row.split(",")[1:] == ["nan", "nan"] for row in failed)
         ok = (tmp_path / "tiny_scm_music_spectrum.csv").read_text().splitlines()[1:]
         assert all("nan" not in row for row in ok)
-        # one estimate for two sources fails scoring in every trial: the
-        # spectrum files are still written, with only nan columns
+        # every estimate fails scoring in every trial: the spectrum files are
+        # still written, with only nan columns
+        def unscored(_est, _scene):
+            raise MetricsError("estimate count 1 != source count 2")
+
         monkeypatch.undo()
+        monkeypatch.setattr(experiments, "assign_errors", unscored)
         out = tmp_path / "unscored"
-        run_experiment(dataclasses.replace(parse_config(SPECTRUM_CONFIG), k=1), out)
+        run_experiment(parse_config(SPECTRUM_CONFIG), out)
         for name in ("scm_music", "fb_music"):
             rows = (out / f"tiny_{name}_spectrum.csv").read_text().splitlines()[1:]
             assert len(rows) == 32 and all(row.split(",")[1:] == ["nan", "nan"] for row in rows)
@@ -371,9 +390,10 @@ class TestRunExperiment:
         assert "runtime failure" in capsys.readouterr().err
 
     def test_estimator_failure_recorded_not_raised(self, tmp_path):
-        # k = 4 equals the sensor count, so scm-music must fail per trial;
-        # the run is expected to complete and record the failures
-        cfg = dataclasses.replace(parse_config(BASE_CONFIG), k=4)
+        # 4 sources on 4 sensors, so scm-music must fail per trial (the config
+        # refuses this scene; replace does not); the run is expected to
+        # complete and record the failures
+        cfg = dataclasses.replace(parse_config(BASE_CONFIG), scene_u=(-0.6, -0.2, 0.2, 0.6))
         run_experiment(cfg, tmp_path)
         rows = (tmp_path / "tiny_trials.csv").read_text().splitlines()[1:]
         assert rows and all("failed" in row for row in rows)
@@ -536,6 +556,34 @@ class TestCliMain:
         costs = [float(r.split(",")[1]) for r in trace_rows[1:]]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
         assert (tmp_path / "tiny_spectrum.svg").read_text().count("<polyline") == 2
+
+    @pytest.mark.parametrize(
+        "text", [SPARSE_SPECTRUM_CONFIG, REFINE_CONFIG], ids=["sparse_spectrum", "refine"]
+    )
+    def test_estimate_is_the_sweeps_trial_0(self, tmp_path, capsys, text):
+        # estimate writes each estimator's directions of the sweep's trial 0
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        estimates = (tmp_path / "tiny_estimates.csv").read_text().splitlines()
+        run_experiment(parse_config(text), tmp_path / "sweep")
+        trials = (tmp_path / "sweep" / "tiny_trials.csv").read_text().splitlines()[1:]
+        rows = [row.split(",") for row in trials]
+        want = [f"{name},{u_hat}" for _, name, trial, _, u_hat, _ in rows if trial == "0"]
+        assert estimates[1:] == want
+        assert len(want) == len(parse_config(text).estimators)
+
+    def test_estimate_exits_3_naming_a_failed_estimator(self, tmp_path, capsys, monkeypatch):
+        # a failed estimator stops estimate before it writes anything
+        def fail(_r):
+            raise NumericsError("ill-conditioned draw")
+
+        monkeypatch.setattr(experiments, "fb_average", fail)
+        path = tmp_path / "exp.cfg"
+        path.write_text(SPECTRUM_CONFIG)
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "fb-music: ill-conditioned draw" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_estimate_trace_writes_refine_rounds(self, tmp_path, capsys):
         # one row per refinement round, and the k-atom cost of the reported

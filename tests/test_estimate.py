@@ -251,7 +251,7 @@ def dispatch_config(positions, u) -> ExperimentConfig:
     return ExperimentConfig(
         geometry=ArrayGeometry(positions), scene_u=u, scene_snr_db=(10.0,) * len(u),
         rho_abs=0.0, rho_phase=0.0, snapshots=40, estimators=("method1", "method2", "em"),
-        k=len(u), sweep_axis="none", sweep_values=(math.nan,), trials=1, seed=0, solver_iter=4,
+        sweep_axis="none", sweep_values=(math.nan,), trials=1, seed=0, solver_iter=4,
     )
 
 
