@@ -1,7 +1,8 @@
 """Command-line front end for the experiment harness.
 
 Subcommands: ``sweep`` runs a Monte-Carlo experiment from a config file,
-``simulate`` dumps raw snapshots, ``estimate`` runs the sweep's first trial
+``simulate`` dumps the snapshots of the sweep's first trial
+(``cell_draw(cfg, 0, 0)``), ``estimate`` runs that trial
 (``run_one_trial(cfg, 0, 0)``), ``crb`` writes the bound's reference curve,
 and ``describe-geometry`` reports the coarray of a geometry.  Exit codes: 0
 on success, 2 for configuration errors, 3 for runtime failures (in
@@ -16,7 +17,6 @@ import sys
 
 from . import experiments as xp
 from .geometry import ArrayGeometry, GeometryError
-from .sigmodel import simulate
 
 
 def _load_config(path: str) -> xp.ExperimentConfig:
@@ -45,18 +45,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    scene, n_snap = xp.axis_scene(cfg, 0)
-    y = simulate(scene, cfg.geometry, n_snap, cfg.seed)
+    _, y = xp.cell_draw(cfg, 0, 0)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{cfg.out_prefix}_snapshots.csv")
-    header = ["snapshot"] + [f"re_{m},im_{m}" for m in range(cfg.geometry.m)]
-    rows = []
-    for col in range(y.data.shape[1]):
-        row: list = [col]
-        for m in range(cfg.geometry.m):
-            row += [y.data[m, col].real, y.data[m, col].imag]
-        rows.append(row)
-    xp.write_csv(path, ",".join(header).split(","), rows)
+    header = ["snapshot"] + [f"{part}_{m}" for m in range(y.m) for part in ("re", "im")]
+    # One row per snapshot: each sensor's (re, im) pair, the float view of y.T.
+    rows = ([col, *pairs] for col, pairs in enumerate(y.data.T.copy().view(float)))
+    xp.write_csv(path, header, rows)
     print(f"wrote {path}")
     return 0
 
@@ -129,7 +124,7 @@ def main(argv=None) -> int:
     p.add_argument("--svg", action="store_true", help="also write an SVG plot of RMSE")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="dump one realization's snapshots")
+    p = sub.add_parser("simulate", help="dump the sweep's trial-0 snapshots, estimate's draw")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

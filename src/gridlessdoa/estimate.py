@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
+from .geometry import ArrayGeometry
+from .sigmodel import manifold
 
 
 class EstimateError(Exception):
@@ -141,9 +143,7 @@ def root_music(r: np.ndarray, k: int) -> DoaEstimate:
 def music_spectrum(r: np.ndarray, k: int, grid: np.ndarray) -> np.ndarray:
     """MUSIC pseudospectrum 1/(phi^H E_n E_n^H phi) on a u grid, max-normalized."""
     c = _noise_projector(r, k)
-    n = c.shape[0]
-    pos = np.arange(n, dtype=np.float64)
-    phi = np.exp(-1j * np.pi * np.outer(pos, np.asarray(grid, dtype=np.float64)))
+    phi = manifold(grid, ArrayGeometry.ula(c.shape[0]))
     denom = np.real(np.einsum("ig,ij,jg->g", phi.conj(), c, phi, optimize=True))
     vals = 1.0 / np.maximum(denom, 1e-300)
     return vals / vals.max()

@@ -358,14 +358,23 @@ DATA_ERRORS = (
 )
 
 
+def cell_draw(
+    cfg: ExperimentConfig, axis_index: int, trial: int
+) -> tuple[SourceScene, SnapshotMatrix]:
+    """Scene and snapshots of the (axis value, trial) cell: its one draw,
+    whichever command reads it."""
+    scene, n_snap = axis_scene(cfg, axis_index)
+    y = simulate(scene, cfg.geometry, n_snap, seed=cfg.seed, trial=axis_index * 1_000_000 + trial)
+    return scene, y
+
+
 def run_one_trial(cfg: ExperimentConfig, axis_index: int, trial: int) -> dict:
-    """One (axis value, trial) cell: simulate once, run every estimator.
+    """One (axis value, trial) cell: draw it once, run every estimator.
 
     Each estimate is scored here, once; with ``spectrum.grid`` set, an
     estimate that scored also keeps its covariance's MUSIC spectrum.  A
     record keeps its run's ML-cost trace and refinement rounds, if any."""
-    scene, n_snap = axis_scene(cfg, axis_index)
-    y = simulate(scene, cfg.geometry, n_snap, seed=cfg.seed, trial=axis_index * 1_000_000 + trial)
+    scene, y = cell_draw(cfg, axis_index, trial)
     out: dict = {"axis_index": axis_index, "trial": trial, "results": {}}
     for name in cfg.estimators:
         diagnostics: dict = {}
@@ -477,7 +486,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     are byte-identical).  The summary scores the errors stored in the trial
     records.  ``spectrum.grid`` adds one ``<prefix>_<estimator>_spectrum.csv``
     each, with a ``nan`` column for a failed trial; a run of ``refine`` adds
-    ``<prefix>_rounds.csv``.  ``svg`` adds an RMSE plot.
+    ``<prefix>_rounds.csv``, one block of per-round means per axis value.
+    ``svg`` adds an RMSE plot.
     """
     os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, cfg.out_prefix)
@@ -486,8 +496,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
 
     summary_rows: list[list] = []
     trial_rows: list[list] = []
+    round_rows: list[list] = []
     meta_cells: dict[str, dict] = {}
     series: dict[str, tuple[list[float], list[float]]] = {}
+    truth = np.asarray(cfg.scene_u)
     for a, axis_value in enumerate(cfg.sweep_values):
         scene, _ = axis_scene(cfg, a)
         crb = axis_crb(cfg, a)
@@ -516,6 +528,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
                 u_hat = ";".join(_fmt(x) for x in rec["u_hat"])
                 errors = ";".join(_fmt(x) for x in rec["errors"])
                 trial_rows.append([axis_value, name, cell["trial"], status, u_hat, errors])
+            if cfg.spectrum_grid is not None:
+                grid = spectrum_grid(cfg)
+                cols = [rec.get("spectrum", [math.nan] * grid.size) for rec in recs]
+                write_csv(
+                    f"{prefix}_{name.replace('-', '_')}_spectrum.csv",
+                    ["u"] + [f"trial_{cell['trial']}" for cell in cell_results],
+                    zip(grid, *cols),
+                )
+            if name == "refine":
+                # A refine run that did not fail holds all ROUNDS + 1 rounds.
+                runs = [rec["rounds"] for rec in recs if not rec["failed"]]
+                for rnd in range(ROUNDS + 1):
+                    infos = [rounds[rnd] for rounds in runs]
+                    means = [math.nan] * 4
+                    if infos:
+                        errs = [np.mean((np.sort(info["u_hat"]) - truth) ** 2) for info in infos]
+                        means = [math.sqrt(np.mean(errs))] + [
+                            float(np.mean([info[key] for info in infos]))
+                            for key in ("grid_size", "sbl_cost", "atom_cost")
+                        ]
+                    round_rows.append([axis_value, rnd] + means)
 
     bias_cols = [f"bias_{kk}" for kk in range(len(cfg.scene_u))]
     write_csv(
@@ -528,11 +561,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         ["axis", "estimator", "trial", "status", "u_hat", "errors"],
         trial_rows,
     )
+    if round_rows:
+        header = ["axis", "round", "rmse", "mean_grid_size", "mean_sbl_cost", "mean_atom_cost"]
+        write_csv(f"{prefix}_rounds.csv", header, round_rows)
     records = [rec for r in results for rec in r["results"].values()]
-    if cfg.spectrum_grid is not None:
-        _write_spectra(cfg, results, prefix)
-    if "refine" in cfg.estimators:
-        _write_round_table(cfg, results, prefix)
     meta = {
         "seed": cfg.seed,
         "started_unix": started,
@@ -547,47 +579,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     if svg:
         write_svg_lines(f"{prefix}.svg", series)
     return meta
-
-
-def _write_spectra(cfg: ExperimentConfig, results: list[dict], prefix: str) -> None:
-    """One CSV per estimator: the u grid, then one spectrum column per trial."""
-    grid = spectrum_grid(cfg)
-    for name in cfg.estimators:
-        cols = [cell["results"][name].get("spectrum", [math.nan] * grid.size) for cell in results]
-        write_csv(
-            f"{prefix}_{name.replace('-', '_')}_spectrum.csv",
-            ["u"] + [f"trial_{cell['trial']}" for cell in results],
-            [[u] + [col[i] for col in cols] for i, u in enumerate(grid)],
-        )
-
-
-def _write_round_table(cfg: ExperimentConfig, results: list[dict], prefix: str) -> None:
-    """Per-round average RMSE, grid size, SBL cost and k-atom cost of the
-    ``refine`` runs."""
-    rows = []
-    truth = np.asarray(cfg.scene_u)
-    for rnd in range(ROUNDS + 1):
-        errs, sizes, costs, atom_costs = [], [], [], []
-        for cell in results:
-            rec = cell["results"]["refine"]
-            if rec["failed"] or len(rec.get("rounds", [])) <= rnd:
-                continue
-            info = rec["rounds"][rnd]
-            errs.append(np.mean((np.sort(info["u_hat"]) - truth) ** 2))
-            sizes.append(info["grid_size"])
-            costs.append(info["sbl_cost"])
-            atom_costs.append(info["atom_cost"])
-        rows.append(
-            [
-                rnd,
-                math.sqrt(np.mean(errs)) if errs else math.nan,
-                float(np.mean(sizes)) if sizes else math.nan,
-                float(np.mean(costs)) if costs else math.nan,
-                float(np.mean(atom_costs)) if atom_costs else math.nan,
-            ]
-        )
-    header = ["round", "rmse", "mean_grid_size", "mean_sbl_cost", "mean_atom_cost"]
-    write_csv(f"{prefix}_rounds.csv", header, rows)
 
 
 def describe_geometry(g: ArrayGeometry) -> str:

@@ -24,6 +24,7 @@ from gridlessdoa.geometry import ArrayGeometry, GeometryError
 from gridlessdoa.metrics import MetricsError
 from gridlessdoa.numerics import NumericsError
 from gridlessdoa.refine import ROUNDS, RefineError
+from gridlessdoa.sigmodel import simulate
 
 BASE_CONFIG = """
 experiment.trials = 2
@@ -73,6 +74,13 @@ REFINE_CONFIG = (
     BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
     .replace("sweep.axis = snr_db", "sweep.axis = none")
     .replace("sweep.values = 10,20\n", "")
+)
+
+# Refinement swept over two snapshot counts, its SBL runs capped short.
+SWEPT_REFINE_CONFIG = with_lines(
+    REFINE_CONFIG,
+    "scene.u = -0.3,0.3\nscene.snr_db = 10\nexperiment.seed = 3\n"
+    "sweep.axis = snapshots\nsweep.values = 1,20\nrefine.sbl_iters = 50",
 )
 
 # Spectra of the solver-backed covariances on a sparse (nested) array.
@@ -422,8 +430,27 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "multires_refine", fail)
         run_experiment(parse_config(REFINE_CONFIG), tmp_path)
         rows = (tmp_path / "tiny_rounds.csv").read_text().splitlines()
-        assert rows[0] == "round,rmse,mean_grid_size,mean_sbl_cost,mean_atom_cost"
-        assert rows[1:] == [f"{rnd},nan,nan,nan,nan" for rnd in range(ROUNDS + 1)]
+        assert rows[0] == "axis,round,rmse,mean_grid_size,mean_sbl_cost,mean_atom_cost"
+        assert rows[1:] == [f"nan,{rnd},nan,nan,nan,nan" for rnd in range(ROUNDS + 1)]
+
+    def test_round_table_has_a_block_per_sweep_value(self, tmp_path):
+        # each sweep value gets its own rounds, in config order, and each
+        # round's rmse is over that value's refine trials alone
+        cfg = parse_config(SWEPT_REFINE_CONFIG)
+        run_experiment(cfg, tmp_path)
+        lines = (tmp_path / "tiny_rounds.csv").read_text().splitlines()
+        assert lines[0] == "axis,round,rmse,mean_grid_size,mean_sbl_cost,mean_atom_cost"
+        rows = [line.split(",") for line in lines[1:]]
+        cells = [(value, rnd) for value in cfg.sweep_values for rnd in range(ROUNDS + 1)]
+        assert [(float(row[0]), int(row[1])) for row in rows] == cells
+        truth = np.asarray(cfg.scene_u)
+        for a in range(len(cfg.sweep_values)):
+            recs = [run_one_trial(cfg, a, t)["results"]["refine"] for t in range(cfg.trials)]
+            assert not any(rec["failed"] for rec in recs)
+            for rnd in range(ROUNDS + 1):
+                sq = [np.mean((np.sort(rec["rounds"][rnd]["u_hat"]) - truth) ** 2) for rec in recs]
+                rmse = float(rows[a * (ROUNDS + 1) + rnd][2])
+                assert rmse == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-10)
 
     def test_sbl_iters_in_meta(self, tmp_path):
         # the meta totals SBL iterations over all trials and rounds; no CSV has them
@@ -537,6 +564,30 @@ class TestCliMain:
         assert len(snap) == 1 + 64
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "tiny_estimates.csv").exists()
+
+    def test_simulate_writes_the_sweeps_cell_0_0(self, tmp_path, capsys, monkeypatch):
+        # simulate writes the snapshots that the sweep's trial 0 at its first
+        # axis value (here 5 snapshots, not scene.snapshots) runs on
+        text = with_lines(BASE_CONFIG, "sweep.axis = snapshots\nsweep.values = 5,9")
+        drawn = []
+
+        def keep(*args, **kwargs):
+            drawn.append(simulate(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "simulate", keep)
+        run_one_trial(parse_config(text), 0, 0)
+        y = drawn[0].data
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "tiny_snapshots.csv").read_text().splitlines()
+        assert y.shape == (4, 5)
+        assert rows[0] == "snapshot," + ",".join(f"re_{m},im_{m}" for m in range(4))
+        assert rows[1:] == [
+            ",".join([str(col)] + [f"{v:.12g}" for z in y[:, col] for v in (z.real, z.imag)])
+            for col in range(5)
+        ]
 
     def test_estimate_spectrum_and_trace(self, tmp_path, capsys):
         # one spectrum column per estimator, each the sweep's trial 0 spectrum
