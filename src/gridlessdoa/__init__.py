@@ -3,7 +3,7 @@
 The library fits structured (sampled-Toeplitz) covariance models to sample
 covariance matrices in the maximum-likelihood sense, interpolates missing
 correlation lags on arrays with coarray holes, runs grid-based sparse
-Bayesian learning with likelihood-driven grid refinement for arbitrary
+Bayesian learning with a likelihood-driven off-grid finish for arbitrary
 sensor placements, and ships a reproducible experiment harness.
 """
 

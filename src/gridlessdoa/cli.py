@@ -37,8 +37,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     meta = xp.run_experiment(cfg, args.out, jobs=args.jobs, svg=args.svg)
     print(
-        f"wrote {cfg.out_prefix}_summary.csv ({meta.get('solver_runs', 0)} solver runs, "
-        f"{meta['elapsed_s']:.1f}s)"
+        f"wrote {cfg.out_prefix}_summary.csv ({meta['solver_runs']} MM/EM runs, "
+        f"{meta['sbl_runs']} SBL runs, {meta['elapsed_s']:.1f}s)"
     )
     return 0
 

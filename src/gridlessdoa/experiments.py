@@ -565,13 +565,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         header = ["axis", "round", "rmse", "mean_grid_size", "mean_sbl_cost", "mean_atom_cost"]
         write_csv(f"{prefix}_rounds.csv", header, round_rows)
     records = [rec for r in results for rec in r["results"].values()]
+    sbl_runs = [rnd for rec in records for rnd in rec.get("rounds", [])]  # one per refine round
     meta = {
         "seed": cfg.seed,
         "started_unix": started,
         "elapsed_s": time.time() - started,
         **{key: sum(rec.get(key, 0) for rec in records) for key in SOLVER_COUNTERS},
-        "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rec in records for rnd in rec.get("rounds", [])),
-        "sbl_iters": sum(rnd["sbl_iters"] for rec in records for rnd in rec.get("rounds", [])),
+        "sbl_runs": len(sbl_runs),
+        "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rnd in sbl_runs),
+        "sbl_iters": sum(rnd["sbl_iters"] for rnd in sbl_runs),
         "cells": meta_cells,
     }
     with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:

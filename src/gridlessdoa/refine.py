@@ -1,16 +1,15 @@
-"""Likelihood-driven grid refinement for arbitrary (off-grid) geometries.
+"""Likelihood-driven grid SBL for arbitrary (off-grid) geometries.
 
 Arbitrary sensor placements leave no Toeplitz structure to exploit, so the
-grid-based SBL spectrum is refined instead: the grid is iteratively pruned
-and locally subdivided around the SBL peaks.  Per-round cost stays bounded
-because pruning keeps the grid near its original size while the local
-resolution multiplies by the subdivision factor every round.  A round's
-estimate is its top-k peak atoms, each re-optimized jointly in (gamma, u)
-against the k-atom likelihood with the atom removed from the model (the
-classic sequential update), by a Newton ascent on q/s.  Across rounds the
-estimate with the lowest k-atom ML cost so far is kept, so the reported cost
-never rises; behind that guard each round's SBL run stops at the looser
-relative drop ``ROUND_TOL``.
+estimate is grid SBL with a continuous finish: by default one SBL run on a
+150-point grid, stopped at the relative drop ``ROUND_TOL``, then
+``peak_adjust``, which re-optimizes each of the top-k peak atoms jointly in
+(gamma, u) against the k-atom likelihood with the atom removed (the classic
+sequential update) by a Newton ascent on q/s.  Moving atoms off the grid
+replaces grid refinement, as in off-grid SBL (Yang, Xie & Zhang, IEEE TSP
+2013) and root-SBL (Dai, Bao, Xu & Chang, IEEE SPL 2017).  ``rounds > 0``
+adds refinement rounds: the grid is pruned and subdivided around the SBL
+peaks, and the estimate with the lowest k-atom ML cost so far is kept.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 # 1e-6).  The round's estimate is the k-atom finish, not the SBL state, and
 # the best-cost guard keeps a worse round from replacing a better one.
 ROUND_TOL = 1e-4
-# Refinement rounds after round 0 (``multires_refine``'s default).
-ROUNDS = 5
+# Refinement rounds after round 0 (``multires_refine``'s default); later ones return its estimate.
+ROUNDS = 0
 
 
 def gamma_opt(q: float, s: float) -> float:
@@ -135,21 +134,22 @@ def multires_refine(
     sbl_iters: int = 5000,
     on_round: Callable[[dict], None] | None = None,
 ) -> DoaEstimate:
-    """Multi-resolution SBL: prune, subdivide around peaks, re-run, adjust.
+    """Grid SBL with a Newton finish, then optional multi-resolution rounds.
 
     ``lam`` is the known noise variance (default 1.0, the unit noise variance
     ``SourceScene.from_snr`` draws).  Round 0 runs SBL on a uniform grid of
-    ``grid_size`` points.  Each later round prunes points with gamma below
-    ``gamma_thresh`` (never a current top-k peak), inserts ``4*g_factor + 1``
-    points per peak spanning two local grid spacings per side at
-    ``g_factor``-times finer resolution, and re-runs SBL from scratch,
-    stopping it at a relative drop of ``ROUND_TOL``.  After r rounds the
-    local resolution is ``(2/grid_size) / g_factor**r``.  A round's candidate is ``peak_adjust``
-    of its SBL state, scored by its k-atom ML cost (``atom_cost``).  The
-    lowest-cost estimate so far, the earlier one on ties, is reported to
-    ``on_round`` as ``u_hat`` with its ``atom_cost`` and returned after the
-    last round, so the reported cost never rises.  The next round's grid is
-    built from the SBL state's peaks, not from the estimate.
+    ``grid_size`` points, stopped at a relative drop of ``ROUND_TOL``; its
+    estimate is ``peak_adjust`` of the SBL state, scored by its k-atom ML cost
+    (``atom_cost``).  At the default ``rounds=ROUNDS`` (0) that is all.  Each
+    later round prunes points with gamma below ``gamma_thresh`` (never a
+    current top-k peak), inserts ``4*g_factor + 1`` points per peak spanning
+    two local grid spacings per side at ``g_factor``-times finer resolution,
+    and re-runs SBL and the finish; after r rounds the local resolution is
+    ``(2/grid_size) / g_factor**r``.  The lowest-cost estimate so far, the
+    earlier one on ties, is reported to ``on_round`` as ``u_hat`` with its
+    ``atom_cost`` and returned after the last round, so the reported cost
+    never rises.  The next round's grid is built from the SBL state's peaks,
+    not from the estimate.
     """
     if rounds < 0 or g_factor <= 1 or k < 1 or grid_size < 1:
         raise RefineError("rounds must be >= 0, g_factor > 1, k >= 1 and grid_size >= 1")

@@ -69,7 +69,7 @@ SPECTRUM_CONFIG = (
     + "spectrum.grid = 32\n"
 )
 
-# Grid SBL with refinement at multires_refine's defaults (rounds 0-5).
+# Grid SBL at multires_refine's defaults (rounds 0..ROUNDS).
 REFINE_CONFIG = (
     BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
     .replace("sweep.axis = snr_db", "sweep.axis = none")
@@ -419,7 +419,7 @@ class TestRunExperiment:
         )
         run_experiment(cfg, tmp_path)
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
-        assert meta["sbl_cap_hits"] == 6  # rounds 0-5, each stopped at 5 iterations
+        assert meta["sbl_cap_hits"] == ROUNDS + 1  # every round stopped at 5 iterations
 
     def test_round_table_of_failed_refine_sweep(self, tmp_path, monkeypatch):
         # every refine trial fails, and the round table still has one nan row
@@ -458,8 +458,9 @@ class TestRunExperiment:
         run_experiment(cfg, tmp_path)
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
         rounds = [rnd for t in range(2) for rnd in run_one_trial(cfg, 0, t)["results"]["refine"]["rounds"]]
-        assert len(rounds) == 12 and meta["sbl_cap_hits"] == 0  # 2 trials, rounds 0-5
+        assert len(rounds) == 2 * (ROUNDS + 1) and meta["sbl_cap_hits"] == 0  # 2 trials
         assert meta["sbl_iters"] == sum(rnd["sbl_iters"] for rnd in rounds) > 4
+        assert meta["sbl_runs"] == len(rounds)
         for path in tmp_path.glob("*.csv"):
             assert "sbl_iters" not in path.read_text()
 
@@ -512,6 +513,23 @@ class TestCliMain:
         code = main(["sweep", "--config", self.write_config(tmp_path), "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "tiny_summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, mm_em_runs, sbl_runs",
+        [
+            (REFINE_CONFIG, 0, 2 * (ROUNDS + 1)),
+            (with_lines(BASE_CONFIG, "estimators = structcovmle\nsolver.iter = 3"), 4, 0),
+        ],
+        ids=["refine_only", "mm_only"],
+    )
+    def test_sweep_line_names_mm_em_and_sbl_runs(self, tmp_path, capsys, text, mm_em_runs, sbl_runs):
+        # the stdout line counts MM/EM runs and SBL runs apart, as the meta does
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert f"({mm_em_runs} MM/EM runs, {sbl_runs} SBL runs, " in capsys.readouterr().out
+        meta = json.loads((tmp_path / "tiny_meta.json").read_text())
+        assert (meta["solver_runs"], meta["sbl_runs"]) == (mm_em_runs, sbl_runs)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         # a config that still names an experiment kind is refused by its key
@@ -637,14 +655,14 @@ class TestCliMain:
         assert not (tmp_path / "out").exists()
 
     def test_estimate_trace_writes_refine_rounds(self, tmp_path, capsys):
-        # one row per refinement round, and the k-atom cost of the reported
+        # one row per round (ROUNDS + 1), and the k-atom cost of the reported
         # estimate never rises from one round to the next
         path = tmp_path / "exp.cfg"
         path.write_text(REFINE_CONFIG)
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path), "--trace"]) == 0
         rows = (tmp_path / "tiny_refine_rounds.csv").read_text().splitlines()
         assert rows[0] == "round,grid_size,sbl_iters,sbl_cost,atom_cost"
-        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1, 2, 3, 4, 5]
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(ROUNDS + 1))
         costs = [float(r.split(",")[4]) for r in rows[1:]]
         assert all(math.isfinite(c) for c in costs)
         assert all(b <= a for a, b in zip(costs, costs[1:])), costs

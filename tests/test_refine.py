@@ -258,12 +258,26 @@ class TestMultiresRefine:
         for trial in range(8):
             y = simulate(SourceScene.from_snr(tuple(u), 10.0), OFFGRID, 500, seed=5, trial=trial)
             logs: list[dict] = []
-            multires_refine(y, OFFGRID, 3, on_round=logs.append)
+            multires_refine(y, OFFGRID, 3, rounds=5, on_round=logs.append)
             for rec in logs:
                 rounds[rec["round"]].append(np.sort(rec["u_hat"]) - u)
         rmse = [np.sqrt(np.mean(np.square(errs))) for errs in rounds]
         assert all(abs(x / rmse[0] - 1.0) <= 0.01 for x in rmse), rmse
         assert np.abs(np.array(rounds)).max() <= 0.02
+
+    def test_round_zero_is_the_estimate_on_the_bundled_scene(self):
+        # the fig_refine_arbitrary cells: five refinement rounds after round 0
+        # return the default estimate within 1e-8 in u (8.2e-10 measured), and
+        # its k-atom ML cost to 1e-12 relative
+        scene = SourceScene.from_snr((-0.54, 0.4802), 20.0)
+        for trial in range(10):
+            y = simulate(scene, OFFGRID, 500, seed=61007, trial=trial)
+            est = multires_refine(y, OFFGRID, 2)
+            five = multires_refine(y, OFFGRID, 2, rounds=5)
+            assert np.abs(est.u - five.u).max() <= 1e-8, (trial, est.u, five.u)
+            cost = atom_cost(est.u, est.powers, 1.0, scm(y), OFFGRID)
+            five_cost = atom_cost(five.u, five.powers, 1.0, scm(y), OFFGRID)
+            assert cost == pytest.approx(five_cost, rel=1e-12, abs=0.0), trial
 
     def test_round_zero_sbl_ends_on_its_relative_stop(self):
         # the fig_refine_arbitrary scene: every round-0 SBL run at the default
@@ -287,7 +301,7 @@ class TestMultiresRefine:
             for trial in (17, 29):
                 y = simulate(SourceScene.from_snr(tuple(u), 10.0), OFFGRID, 500, seed=5, trial=trial)
                 logs: list[dict] = []
-                est = multires_refine(y, OFFGRID, 3, on_round=logs.append)
+                est = multires_refine(y, OFFGRID, 3, rounds=5, on_round=logs.append)
                 assert np.abs(est.u - u).max() < 0.02, (trial, est.u)
                 costs = [rec["atom_cost"] for rec in logs]
                 assert all(b <= a for a, b in zip(costs, costs[1:])), (trial, costs)
