@@ -316,16 +316,16 @@ def run_estimator(
 ) -> DoaEstimate:
     """Dispatch one estimator; records solver cost traces in diagnostics.
 
-    ``refine`` is grid SBL.  Any other estimator's covariance is computed
-    once, kept in ``diagnostics["covariance"]`` and read by root-MUSIC.
+    ``refine`` is grid SBL; its round records go to ``diagnostics["rounds"]``,
+    bound before the run, so a trial that fails after an SBL run keeps that
+    run's record.  Any other estimator's covariance is computed once, kept in
+    ``diagnostics["covariance"]`` and read by root-MUSIC.
     """
     if name == "refine":
-        rounds: list[dict] = []
-        est = multires_refine(
+        rounds = diagnostics["rounds"] = []
+        return multires_refine(
             y, cfg.geometry, cfg.k, sbl_iters=cfg.refine_sbl_iters, on_round=rounds.append
         )
-        diagnostics["rounds"] = rounds
-        return est
     cov = diagnostics["covariance"] = covariance_estimate(name, y, cfg, diagnostics)
     return root_music(cov, cfg.k)
 

@@ -9,10 +9,14 @@ remaining convex subproblem
     minimize  Re tr(W Map(v)) + tr((Map(v) + D)^{-1} R_fit)
     s.t.      Toep(v) >= 0
 
-exactly (the Schur-complement slack variable of the SDP form is eliminated
+(the Schur-complement slack variable of the SDP form is eliminated
 analytically, leaving a smooth convex program).  The subproblem is solved by
 a log-barrier interior method with damped Newton steps; problem dimension is
-2*aperture - 1 real variables.
+2*aperture - 1 real variables.  MM needs each solve only to lower the
+surrogate, not to minimize it (Razaviyayn, Hong & Luo, SIAM J. Optim. 2013;
+Sun, Babu & Palomar, IEEE TSP 2017), so an MM/EM solve ends its barrier path
+early once the barrier's gap bound is below the decrease it has made; as the
+outer loop converges the decrease shrinks and the solves become exact.
 
 The EM variant treats sensors absent from a hole-free completion of the
 array as latent measurements: each major iteration conditions their second
@@ -54,8 +58,12 @@ class SolverError(Exception):
 # 11.5); bound 0 leaves the last stage to the stall rule, which fixes the point
 # to rounding.  Each stage takes at most MAX_NEWTON Newton steps of at most
 # MAX_BACKTRACKS halvings; the predicted start of the next stage gets at most
-# PREDICTOR_HALVINGS halvings.
+# PREDICTOR_HALVINGS halvings.  An MM/EM solve may end after any stage with
+# mu <= GAP_STOP_MU, once A * mu (A the Toeplitz order), the central-path gap
+# bound of the log-det barrier, is at most the decrease of the barrier-free
+# objective from the solve's start (``solve_subproblem``).
 BARRIER_STAGES = tuple((10.0**-k, 1e-2) for k in range(2, 9)) + ((1e-9, 0.0),)
+GAP_STOP_MU = 1e-6
 MAX_NEWTON = 80
 MAX_BACKTRACKS = 60
 PREDICTOR_HALVINGS = 3
@@ -69,15 +77,17 @@ class NewtonWork:
     non-finite or did not descend, so the step and the tangent came from the
     eigensolve (``fallbacks``), barrier stages stopped at ``MAX_NEWTON`` steps,
     stage hand-offs whose predicted start stayed infeasible (``_predict``),
-    so the next stage started where the last one ended, and line searches
+    so the next stage started where the last one ended, line searches
     that found no acceptable step in ``MAX_BACKTRACKS`` halvings, each of
-    which ended its solve's barrier path."""
+    which ended its solve's barrier path, and MM/EM solves that the gap
+    bound ended before the final stage (``gap_stops``)."""
 
     steps: int = 0
     fallbacks: int = 0
     cap_hits: int = 0
     predictor_misses: int = 0
     line_search_failures: int = 0
+    gap_stops: int = 0
 
 
 @dataclass
@@ -89,7 +99,8 @@ class MleConfig:
     The EM variant additionally uses ``lam_m`` for the latent sensors; when
     unset it defaults to ``1e3 * lam`` (``lam_missing``).  The outer loop runs
     ``outer_iters`` subproblem solves with no early stop.  The barrier path is
-    the module's ``BARRIER_STAGES`` table, so no field sets anything in the
+    the module's ``BARRIER_STAGES`` table, cut short only by the gap-bound
+    rule that the MM loop switches on, so no field sets anything in the
     subproblem solve.  ``newton`` is an output only: every solve run with this
     config adds its Newton work to it, and it never changes an iterate.
     """
@@ -351,9 +362,13 @@ class _Resume:
     seeds ``x`` with its start, the unit lag vector (``Toep = I``: strictly
     feasible and central), which is also where a standalone solve starts.
     Each solve replaces ``x`` with the point its first stage ended on.
+    ``gap_stop``, set by the MM/EM run only, lets each solve end its path
+    early on the gap bound (``GAP_STOP_MU``); a standalone solve or a bare
+    ``_Resume(x)`` walks the full table.
     """
 
     x: np.ndarray
+    gap_stop: bool = False
 
 
 def _unit_lags(g: ArrayGeometry) -> np.ndarray:
@@ -380,11 +395,16 @@ def solve_subproblem(
     central-path tangent point from where the previous stage ended, or at
     that end point itself when no predicted point is feasible (a counted
     ``predictor_misses``).  A failed line search (a counted
-    ``line_search_failures``) ends the path at its last accepted point.  The
-    result is the better of ``start``, when ``factor`` accepts it, and the
-    point the path ended on, so it never has a larger objective than a
-    feasible start.  ``cfg`` sets nothing here; the solve's Newton work is
-    added to ``cfg.newton``.
+    ``line_search_failures``) ends the path at its last accepted point.  With
+    ``resume.gap_stop`` set, the path also ends after any stage with
+    ``mu <= GAP_STOP_MU`` whose end x satisfies ``A * mu <= F(start) - F(x)``
+    (a counted ``gap_stops``): F is the normalized objective without the
+    barrier and A the Toeplitz order, so ``A * mu`` bounds how far x is above
+    the subproblem's minimum and x keeps about half or more of the decrease
+    the full path would make.  The result is the better of ``start``, when
+    ``factor`` accepts it, and the point the path ended on, so it never has a
+    larger objective than a feasible start.  ``cfg`` sets nothing here; the
+    solve's Newton work is added to ``cfg.newton``.
     """
     if resume is None:
         resume = _Resume(pack_lags(_unit_lags(weights.geometry)))
@@ -396,6 +416,7 @@ def solve_subproblem(
     problem.normalize(x, factors)
     x0 = pack_lags(np.asarray(start, dtype=np.complex128))
     start_factors = problem.factor(x0)
+    f_start = np.inf if start_factors is None else problem.value(x0, 0.0, start_factors)[0]
 
     for k, (mu, tol) in enumerate(BARRIER_STAGES):
         if k:
@@ -405,12 +426,13 @@ def solve_subproblem(
             resume.x = x
         if failed:
             break
+        if resume.gap_stop and mu <= GAP_STOP_MU and k < len(BARRIER_STAGES) - 1 and (
+            problem.toep.aperture * mu <= f_start - problem.value(x, 0.0, factors)[0]
+        ):
+            cfg.newton.gap_stops += 1
+            break
 
-    if start_factors is not None and (
-        problem.value(x0, 1.0, start_factors)[0] <= problem.value(x, 1.0, factors)[0]
-    ):
-        return unpack_lags(x0)
-    return unpack_lags(x)
+    return unpack_lags(x0 if f_start <= problem.value(x, 0.0, factors)[0] else x)
 
 
 # -- outer MM loop ------------------------------------------------------------
@@ -442,14 +464,15 @@ def _majorize_minimize(
     the last solve (same geometry and noise), so a solve whose path ends
     higher returns it.  Each solve starts its barrier path where the previous
     one's first stage ended, the first at ``v`` itself (``_Resume``, owned by
-    this run).  The callback
-    sees the ML cost of ``cfg.lam`` and the SCM ``r`` on the physical
-    geometry ``g``, which is non-increasing along the iterates.
+    this run), and may end that path early on the gap bound
+    (``_Resume.gap_stop``).  The callback sees the ML cost of ``cfg.lam`` and
+    the SCM ``r`` on the physical geometry ``g``, which is non-increasing
+    along the iterates.
     """
     v = _unit_lags(fit_geometry)
     if cfg.callback is not None:
         cfg.callback(0, v.copy(), ml_cost(v, cfg.lam, r, g))
-    resume = _Resume(pack_lags(v))
+    resume = _Resume(pack_lags(v), gap_stop=True)
     for k in range(1, cfg.outer_iters + 1):
         v = solve_subproblem(_majorization(v, fit_matrix(v), fit_geometry, noise), v, cfg, resume)
         if cfg.callback is not None:

@@ -145,11 +145,14 @@ def multires_refine(
     current top-k peak), inserts ``4*g_factor + 1`` points per peak spanning
     two local grid spacings per side at ``g_factor``-times finer resolution,
     and re-runs SBL and the finish; after r rounds the local resolution is
-    ``(2/grid_size) / g_factor**r``.  The lowest-cost estimate so far, the
-    earlier one on ties, is reported to ``on_round`` as ``u_hat`` with its
-    ``atom_cost`` and returned after the last round, so the reported cost
-    never rises.  The next round's grid is built from the SBL state's peaks,
-    not from the estimate.
+    ``(2/grid_size) / g_factor**r``.  Each round's record goes to
+    ``on_round`` as soon as its SBL run ends (grid size, SBL cost,
+    iterations, cap hit), so a round whose finish raises is still reported;
+    the finish then adds, in place, the lowest-cost estimate so far, the
+    earlier one on ties, as ``u_hat`` with its ``atom_cost``.  That estimate
+    is returned after the last round, so the reported cost never rises.  The
+    next round's grid is built from the SBL state's peaks, not from the
+    estimate.
     """
     if rounds < 0 or g_factor <= 1 or k < 1 or grid_size < 1:
         raise RefineError("rounds must be >= 0, g_factor > 1, k >= 1 and grid_size >= 1")
@@ -166,20 +169,18 @@ def multires_refine(
             grid = _dedupe_sorted(grid[(grid >= -1.0) & (grid < 1.0)])
         costs: list[float] = []
         state = sbl_run(g, grid, y, lam, sbl_iters, tol=ROUND_TOL, cost_trace=costs)
+        record = {
+            "round": rnd,
+            "grid_size": int(state.grid.size),
+            "sbl_cost": costs[-1],
+            "sbl_iters": state.iters,
+            "sbl_cap_hit": state.capped,
+        }
+        if on_round is not None:
+            on_round(record)
         cand = peak_adjust(state, r_hat, g, k)
         cand_cost = atom_cost(cand, state.lam, r_hat, g)
         if rnd == 0 or cand_cost < cost:
             est, cost = cand, cand_cost
-        if on_round is not None:
-            on_round(
-                {
-                    "round": rnd,
-                    "grid_size": int(state.grid.size),
-                    "sbl_cost": costs[-1],
-                    "sbl_iters": state.iters,
-                    "sbl_cap_hit": state.capped,
-                    "u_hat": est.u.tolist(),
-                    "atom_cost": cost,
-                }
-            )
+        record.update(u_hat=est.u.tolist(), atom_cost=cost)
     return est

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridlessdoa import experiments
+from gridlessdoa import experiments, refine
 from gridlessdoa.cli import main
 from gridlessdoa.experiments import (
     CONFIG_KEYS,
@@ -464,6 +464,17 @@ class TestRunExperiment:
         for path in tmp_path.glob("*.csv"):
             assert "sbl_iters" not in path.read_text()
 
+    def test_failed_refine_trials_keep_their_sbl_runs(self, tmp_path, monkeypatch):
+        # round 0's finish fails after its SBL run, so each of the two trials
+        # fails with one SBL run, which the meta still counts
+        def fail(*args, **kwargs):
+            raise RefineError("no finish")
+
+        monkeypatch.setattr(refine, "peak_adjust", fail)
+        meta = run_experiment(parse_config(REFINE_CONFIG), tmp_path)
+        assert meta["cells"]["nan/refine"]["failure_messages"] == {"no finish": 2}
+        assert meta["sbl_runs"] == 2 and meta["sbl_iters"] > 0
+
     def test_newton_work_in_meta(self, tmp_path):
         # the meta totals each MM/EM run's Newton work; no CSV has it
         cfg = parse_config(SPARSE_SPECTRUM_CONFIG)
@@ -473,7 +484,7 @@ class TestRunExperiment:
         assert len(records) == 8
         for key in (
             "newton_steps", "newton_fallbacks", "newton_cap_hits", "newton_predictor_misses",
-            "newton_line_search_failures",
+            "newton_line_search_failures", "newton_gap_stops",
         ):
             assert meta[key] == sum(rec[key] for rec in records)
             for path in tmp_path.glob("*.csv"):

@@ -403,8 +403,9 @@ class TestNewtonWork:
         # trial 0 of the bundled config; cold-starting every solve takes 64.3
         # and 52.5 steps per solve here on a 10x mu schedule, 54.6 and 40.2
         # on the 100x one; the carried first stage gives 47.4 and 35.0, the
-        # tangent start of each later stage 32.0 and 22.4, and stages ended
-        # on their Newton decrement on a 10x table 19.4 and 19.7
+        # tangent start of each later stage 32.0 and 22.4, stages ended on
+        # their Newton decrement on a 10x table 19.4 and 19.7, and MM/EM
+        # solves ended at mu <= 1e-6 on the gap bound 15.0 and 15.2
         budget = {"fig_resolution": 22.0, "fig_nula_em": 23.0}[name]
         cfg = parse_config((resources.files("gridlessdoa") / "configs" / f"{name}.cfg").read_text())
         records = run_one_trial(cfg, 0, 0)["results"]
@@ -642,6 +643,58 @@ class TestCarriedStart:
         np.testing.assert_array_equal(mle(), single)
         em_gridless(y, g, plan, MleConfig(lam=1.0, outer_iters=6))
         np.testing.assert_array_equal(mle(), single)
+
+
+class TestGapStop:
+    @staticmethod
+    def config(name):
+        return parse_config((resources.files("gridlessdoa") / "configs" / f"{name}.cfg").read_text())
+
+    def test_run_ends_on_full_solves(self, monkeypatch):
+        # fig_snr trial 0: the early solves stop on the gap bound, and once
+        # the decrease falls below it every solve runs the full table, the
+        # run's last among them
+        stopped = []
+        solve = mlesolve.solve_subproblem
+
+        def recorded(*args):
+            before = args[2].newton.gap_stops
+            out = solve(*args)
+            stopped.append(args[2].newton.gap_stops > before)
+            return out
+
+        monkeypatch.setattr(mlesolve, "solve_subproblem", recorded)
+        cfg = self.config("fig_snr")
+        run_one_trial(cfg, 0, 0)
+        assert len(stopped) == cfg.solver_iter and stopped[0] and not stopped[-1]
+        assert stopped == sorted(stopped, reverse=True)
+
+    @pytest.mark.parametrize("name", ["fig_snr", "fig_correlation"])
+    def test_estimates_match_full_solves(self, monkeypatch, name):
+        # trial 0 at every sweep value; with the rule off (no stage is at or
+        # below a floor of 0) every solve walks the full table
+        cfg = self.config(name)
+        for axis_index in range(len(cfg.sweep_values)):
+            early = run_one_trial(cfg, axis_index, 0)["results"]["structcovmle"]
+            with monkeypatch.context() as patch:
+                patch.setattr(mlesolve, "GAP_STOP_MU", 0.0)
+                full = run_one_trial(cfg, axis_index, 0)["results"]["structcovmle"]
+            assert early["newton_gap_stops"] > 0 and full["newton_gap_stops"] == 0
+            np.testing.assert_allclose(early["u_hat"], full["u_hat"], rtol=0, atol=1e-8)
+
+    def test_only_an_mm_resume_stops_early(self, rng):
+        # the same solve stops on the gap bound when its _Resume asks for it,
+        # and walks the full table standalone or with a bare _Resume
+        g = ArrayGeometry((0, 1, 5, 6, 10, 11))
+        weights, start = TestStagePredictor.weights(rng, g), random_feasible_lags(rng, g)
+        unit = pack_lags(mlesolve._unit_lags(g))
+        work = {}
+        for name, resume in [("standalone", None), ("bare", _Resume(unit)), ("mm", _Resume(unit, True))]:
+            cfg = MleConfig(lam=0.4)
+            solve_subproblem(weights, start, cfg, resume)
+            work[name] = cfg.newton
+        assert work["standalone"] == work["bare"] and work["bare"].gap_stops == 0
+        assert work["mm"].gap_stops == 1 and work["mm"].steps < work["bare"].steps
 
 
 class TestStructcovMle:
