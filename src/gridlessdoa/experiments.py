@@ -26,11 +26,12 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from .estimate import DoaEstimate, EstimateError, music_spectrum, root_music
-from .geometry import ArrayGeometry, GeometryError, coarray, nested_completion, toeplitz_embed
+from .geometry import ArrayGeometry, GeometryError, coarray, nested_completion, split_items
+from .geometry import toeplitz_embed
 from .metrics import MetricsError, assign_errors, crb_rmse, empirical_bias, rmse_u, success_rate
 from .mlesolve import CompletionPlan, MleConfig, NewtonWork, SolverError, em_gridless, structcov_mle
 from .numerics import NumericsError
-from .refine import ROUNDS, RefineError, multires_refine
+from .refine import RefineError, multires_refine
 from .sbl import SblError
 from .sigmodel import ModelError, SnapshotMatrix, SourceScene, fb_average, scm, simulate
 from .sigmodel import ContiguousLagError, spatial_smooth
@@ -160,7 +161,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def floats(key: str) -> tuple[float, ...]:
         try:
-            values = tuple(float(tok) for tok in need(key).split(",") if tok.strip())
+            values = tuple(float(tok) for tok in split_items(need(key)))
         except ValueError:
             _fail(key, f"could not parse {raw[key]!r} as numbers")
         if not all(map(math.isfinite, values)):
@@ -187,7 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(snr) != len(u):
         _fail("scene.snr_db", "need one SNR per source (or a single shared value)")
 
-    estimators = tuple(tok.strip() for tok in need("estimators").split(",") if tok.strip())
+    estimators = split_items(need("estimators"))
     bad = [e for e in estimators if e not in ESTIMATORS]
     if bad or not estimators or len(set(estimators)) < len(estimators):
         _fail("estimators", f"unknown estimators {bad}" if bad else "must be nonempty and distinct")
@@ -484,10 +485,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
     (per-trial directions and errors) and ``<prefix>_meta.json`` (timing,
     solver diagnostics and failure messages; kept out of the CSVs so re-runs
     are byte-identical).  The summary scores the errors stored in the trial
-    records.  ``spectrum.grid`` adds one ``<prefix>_<estimator>_spectrum.csv``
-    each, with a ``nan`` column for a failed trial; a run of ``refine`` adds
-    ``<prefix>_rounds.csv``, one block of per-round means per axis value.
-    ``svg`` adds an RMSE plot.
+    records.  A ``refine`` cell of the meta adds ``mean_sbl_cost`` and
+    ``mean_atom_cost``, the means over its trials that did not fail of the
+    last round's SBL cost and k-atom cost, ``null`` when all failed.
+    ``spectrum.grid`` adds one ``<prefix>_<estimator>_spectrum.csv`` each,
+    with a ``nan`` column for a failed trial.  ``svg`` adds an RMSE plot.
     """
     os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, cfg.out_prefix)
@@ -496,10 +498,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
 
     summary_rows: list[list] = []
     trial_rows: list[list] = []
-    round_rows: list[list] = []
     meta_cells: dict[str, dict] = {}
     series: dict[str, tuple[list[float], list[float]]] = {}
-    truth = np.asarray(cfg.scene_u)
     for a, axis_value in enumerate(cfg.sweep_values):
         scene, _ = axis_scene(cfg, a)
         crb = axis_crb(cfg, a)
@@ -515,7 +515,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
                 rmse, biases, hit = math.nan, [math.nan] * scene.k, math.nan
             summary_rows.append([axis_value, name, rmse] + biases + [crb, len(good), hit])
             messages = [rec["message"] for rec in recs if rec["failed"]]
-            meta_cells[f"{axis_value}/{name}"] = {
+            cell_meta = meta_cells[f"{axis_value}/{name}"] = {
                 "wallclock_ms": 1e3 * float(np.sum([rec["runtime_s"] for rec in recs])),
                 "failures": len(messages),
                 "failure_messages": dict(Counter(messages)),
@@ -537,18 +537,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
                     zip(grid, *cols),
                 )
             if name == "refine":
-                # A refine run that did not fail holds all ROUNDS + 1 rounds.
-                runs = [rec["rounds"] for rec in recs if not rec["failed"]]
-                for rnd in range(ROUNDS + 1):
-                    infos = [rounds[rnd] for rounds in runs]
-                    means = [math.nan] * 4
-                    if infos:
-                        errs = [np.mean((np.sort(info["u_hat"]) - truth) ** 2) for info in infos]
-                        means = [math.sqrt(np.mean(errs))] + [
-                            float(np.mean([info[key] for info in infos]))
-                            for key in ("grid_size", "sbl_cost", "atom_cost")
-                        ]
-                    round_rows.append([axis_value, rnd] + means)
+                # A run's last round holds its SBL cost and its estimate's k-atom cost.
+                last = [rec["rounds"][-1] for rec in recs if not rec["failed"]]
+                for key in ("sbl_cost", "atom_cost"):
+                    mean = float(np.mean([rnd[key] for rnd in last])) if last else None
+                    cell_meta[f"mean_{key}"] = mean
 
     bias_cols = [f"bias_{kk}" for kk in range(len(cfg.scene_u))]
     write_csv(
@@ -561,9 +554,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         ["axis", "estimator", "trial", "status", "u_hat", "errors"],
         trial_rows,
     )
-    if round_rows:
-        header = ["axis", "round", "rmse", "mean_grid_size", "mean_sbl_cost", "mean_atom_cost"]
-        write_csv(f"{prefix}_rounds.csv", header, round_rows)
     records = [rec for r in results for rec in r["results"].values()]
     sbl_runs = [rnd for rec in records for rnd in rec.get("rounds", [])]  # one per refine round
     meta = {
@@ -577,7 +567,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         "cells": meta_cells,
     }
     with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
     if svg:
         write_svg_lines(f"{prefix}.svg", series)
     return meta

@@ -28,6 +28,12 @@ class GeometryError(Exception):
     pass
 
 
+def split_items(text: str) -> tuple[str, ...]:
+    """The stripped items of a comma-separated list, none for blank text.  An
+    empty item, as in ``"0,,1"`` or ``"0,1,"``, is kept, so its reader fails."""
+    return tuple(tok.strip() for tok in text.split(",")) if text.strip() else ()
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Sensor positions in units of d = half wavelength.
@@ -60,7 +66,7 @@ class ArrayGeometry:
     @classmethod
     def parse(cls, text: str) -> "ArrayGeometry":
         """Parse the config literal form, e.g. ``"0,1,2,3,7,11"``."""
-        return cls(tuple(tok for tok in text.split(",") if tok.strip()))
+        return cls(split_items(text))
 
     @classmethod
     def ula(cls, m: int) -> "ArrayGeometry":

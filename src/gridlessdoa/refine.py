@@ -7,9 +7,10 @@ estimate is grid SBL with a continuous finish: by default one SBL run on a
 (gamma, u) against the k-atom likelihood with the atom removed (the classic
 sequential update) by a Newton ascent on q/s.  Moving atoms off the grid
 replaces grid refinement, as in off-grid SBL (Yang, Xie & Zhang, IEEE TSP
-2013) and root-SBL (Dai, Bao, Xu & Chang, IEEE SPL 2017).  ``rounds > 0``
-adds refinement rounds: the grid is pruned and subdivided around the SBL
-peaks, and the estimate with the lowest k-atom ML cost so far is kept.
+2013) and root-SBL (Dai, Bao, Xu & Chang, IEEE SPL 2017); the experiment
+runner takes that default.  A library call with ``rounds > 0`` adds
+refinement rounds: the grid is pruned and subdivided around the SBL peaks,
+and the estimate with the lowest k-atom ML cost so far is kept.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 # 1e-6).  The round's estimate is the k-atom finish, not the SBL state, and
 # the best-cost guard keeps a worse round from replacing a better one.
 ROUND_TOL = 1e-4
-# Refinement rounds after round 0 (``multires_refine``'s default); later ones return its estimate.
-ROUNDS = 0
 
 
 def gamma_opt(q: float, s: float) -> float:
@@ -130,7 +129,7 @@ def multires_refine(
     grid_size: int = 150,
     g_factor: int = 3,
     gamma_thresh: float = 1e-3,
-    rounds: int = ROUNDS,
+    rounds: int = 0,
     sbl_iters: int = 5000,
     on_round: Callable[[dict], None] | None = None,
 ) -> DoaEstimate:
@@ -140,19 +139,19 @@ def multires_refine(
     ``SourceScene.from_snr`` draws).  Round 0 runs SBL on a uniform grid of
     ``grid_size`` points, stopped at a relative drop of ``ROUND_TOL``; its
     estimate is ``peak_adjust`` of the SBL state, scored by its k-atom ML cost
-    (``atom_cost``).  At the default ``rounds=ROUNDS`` (0) that is all.  Each
-    later round prunes points with gamma below ``gamma_thresh`` (never a
-    current top-k peak), inserts ``4*g_factor + 1`` points per peak spanning
-    two local grid spacings per side at ``g_factor``-times finer resolution,
-    and re-runs SBL and the finish; after r rounds the local resolution is
-    ``(2/grid_size) / g_factor**r``.  Each round's record goes to
-    ``on_round`` as soon as its SBL run ends (grid size, SBL cost,
-    iterations, cap hit), so a round whose finish raises is still reported;
-    the finish then adds, in place, the lowest-cost estimate so far, the
-    earlier one on ties, as ``u_hat`` with its ``atom_cost``.  That estimate
-    is returned after the last round, so the reported cost never rises.  The
-    next round's grid is built from the SBL state's peaks, not from the
-    estimate.
+    (``atom_cost``).  At the default ``rounds=0``, which every experiment
+    runs, that is all.  Each later round prunes points with gamma below
+    ``gamma_thresh`` (never a current top-k peak), inserts ``4*g_factor + 1``
+    points per peak spanning two local grid spacings per side at
+    ``g_factor``-times finer resolution, and re-runs SBL and the finish;
+    after r rounds the local resolution is ``(2/grid_size) / g_factor**r``.
+    Each round's record goes to ``on_round`` as soon as its SBL run ends
+    (grid size, SBL cost, iterations, cap hit), so a round whose finish
+    raises is still reported; the finish then adds, in place, the
+    lowest-cost estimate so far, the earlier one on ties, as ``u_hat`` with
+    its ``atom_cost``.  That estimate is returned after the last round, so
+    the reported cost never rises.  The next round's grid is built from the
+    SBL state's peaks, not from the estimate.
     """
     if rounds < 0 or g_factor <= 1 or k < 1 or grid_size < 1:
         raise RefineError("rounds must be >= 0, g_factor > 1, k >= 1 and grid_size >= 1")

@@ -23,7 +23,7 @@ from gridlessdoa.experiments import (
 from gridlessdoa.geometry import ArrayGeometry, GeometryError
 from gridlessdoa.metrics import MetricsError
 from gridlessdoa.numerics import NumericsError
-from gridlessdoa.refine import ROUNDS, RefineError
+from gridlessdoa.refine import RefineError
 from gridlessdoa.sigmodel import simulate
 
 BASE_CONFIG = """
@@ -69,7 +69,7 @@ SPECTRUM_CONFIG = (
     + "spectrum.grid = 32\n"
 )
 
-# Grid SBL at multires_refine's defaults (rounds 0..ROUNDS).
+# Grid SBL at multires_refine's defaults (round 0 alone).
 REFINE_CONFIG = (
     BASE_CONFIG.replace("estimators = scm-music", "estimators = refine")
     .replace("sweep.axis = snr_db", "sweep.axis = none")
@@ -272,6 +272,11 @@ class TestParseConfig:
             ("scene.u = -0.6,-0.2,0.2,0.6", "estimators"),
             ("sweep.values = 10,10,20", "sweep.values"),
             ("estimators = scm-music,scm-music", "estimators"),
+            ("sweep.values = 10,,20", "sweep.values"),
+            ("scene.u = -0.5,,0.5", "scene.u"),
+            ("scene.snr_db = 20,", "scene.snr_db"),
+            ("estimators = scm-music,", "estimators"),
+            ("geometry.positions = 0,1,,2,3", "geometry.positions"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -280,7 +285,8 @@ class TestParseConfig:
         # is checked against the geometry (scm-music/fb-music need a ULA, the
         # gridless fits integer positions, all need k below their covariance
         # order), and no sweep value or estimator may repeat, so a bad value
-        # exits 2 naming its key instead of failing (or running twice) later
+        # exits 2 naming its key instead of failing (or running twice) later;
+        # an empty list item is an error too, never dropped
         text = with_lines(BASE_CONFIG, lines)
         with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
             parse_config(text)
@@ -419,46 +425,45 @@ class TestRunExperiment:
         )
         run_experiment(cfg, tmp_path)
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
-        assert meta["sbl_cap_hits"] == ROUNDS + 1  # every round stopped at 5 iterations
+        assert meta["sbl_cap_hits"] == 1  # the one SBL run stopped at 5 iterations
 
-    def test_round_table_of_failed_refine_sweep(self, tmp_path, monkeypatch):
-        # every refine trial fails, and the round table still has one nan row
-        # per round of multires_refine's default count
+    def test_refine_cells_hold_mean_costs(self, tmp_path):
+        # each sweep value's refine cell holds the means, over that value's
+        # trials alone, of the last round's SBL and k-atom costs; no CSV has them
+        cfg = parse_config(SWEPT_REFINE_CONFIG)
+        run_experiment(cfg, tmp_path)
+        assert not (tmp_path / "tiny_rounds.csv").exists()
+        cells = json.loads((tmp_path / "tiny_meta.json").read_text())["cells"]
+        for a, value in enumerate(cfg.sweep_values):
+            recs = [run_one_trial(cfg, a, t)["results"]["refine"] for t in range(cfg.trials)]
+            assert not any(rec["failed"] for rec in recs)
+            for key in ("sbl_cost", "atom_cost"):
+                mean = np.mean([rec["rounds"][-1][key] for rec in recs])
+                assert cells[f"{value}/refine"][f"mean_{key}"] == pytest.approx(mean, rel=1e-12)
+
+    def test_failed_refine_cell_means_are_null(self, tmp_path, monkeypatch):
+        # every refine trial fails: the cell's means are null, never NaN, so
+        # the meta stays strict JSON
         def fail(*args, **kwargs):
             raise RefineError("no estimate")
 
+        def refuse(constant):
+            raise ValueError(f"meta holds {constant}")
+
         monkeypatch.setattr(experiments, "multires_refine", fail)
         run_experiment(parse_config(REFINE_CONFIG), tmp_path)
-        rows = (tmp_path / "tiny_rounds.csv").read_text().splitlines()
-        assert rows[0] == "axis,round,rmse,mean_grid_size,mean_sbl_cost,mean_atom_cost"
-        assert rows[1:] == [f"nan,{rnd},nan,nan,nan,nan" for rnd in range(ROUNDS + 1)]
-
-    def test_round_table_has_a_block_per_sweep_value(self, tmp_path):
-        # each sweep value gets its own rounds, in config order, and each
-        # round's rmse is over that value's refine trials alone
-        cfg = parse_config(SWEPT_REFINE_CONFIG)
-        run_experiment(cfg, tmp_path)
-        lines = (tmp_path / "tiny_rounds.csv").read_text().splitlines()
-        assert lines[0] == "axis,round,rmse,mean_grid_size,mean_sbl_cost,mean_atom_cost"
-        rows = [line.split(",") for line in lines[1:]]
-        cells = [(value, rnd) for value in cfg.sweep_values for rnd in range(ROUNDS + 1)]
-        assert [(float(row[0]), int(row[1])) for row in rows] == cells
-        truth = np.asarray(cfg.scene_u)
-        for a in range(len(cfg.sweep_values)):
-            recs = [run_one_trial(cfg, a, t)["results"]["refine"] for t in range(cfg.trials)]
-            assert not any(rec["failed"] for rec in recs)
-            for rnd in range(ROUNDS + 1):
-                sq = [np.mean((np.sort(rec["rounds"][rnd]["u_hat"]) - truth) ** 2) for rec in recs]
-                rmse = float(rows[a * (ROUNDS + 1) + rnd][2])
-                assert rmse == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-10)
+        meta = json.loads((tmp_path / "tiny_meta.json").read_text(), parse_constant=refuse)
+        cell = meta["cells"]["nan/refine"]
+        assert cell["failure_messages"] == {"no estimate": 2}
+        assert (cell["mean_sbl_cost"], cell["mean_atom_cost"]) == (None, None)
 
     def test_sbl_iters_in_meta(self, tmp_path):
-        # the meta totals SBL iterations over all trials and rounds; no CSV has them
+        # the meta totals SBL iterations over all trials; no CSV has them
         cfg = parse_config(REFINE_CONFIG)
         run_experiment(cfg, tmp_path)
         meta = json.loads((tmp_path / "tiny_meta.json").read_text())
         rounds = [rnd for t in range(2) for rnd in run_one_trial(cfg, 0, t)["results"]["refine"]["rounds"]]
-        assert len(rounds) == 2 * (ROUNDS + 1) and meta["sbl_cap_hits"] == 0  # 2 trials
+        assert len(rounds) == 2 and meta["sbl_cap_hits"] == 0  # 2 trials, 1 round each
         assert meta["sbl_iters"] == sum(rnd["sbl_iters"] for rnd in rounds) > 4
         assert meta["sbl_runs"] == len(rounds)
         for path in tmp_path.glob("*.csv"):
@@ -528,7 +533,7 @@ class TestCliMain:
     @pytest.mark.parametrize(
         "text, mm_em_runs, sbl_runs",
         [
-            (REFINE_CONFIG, 0, 2 * (ROUNDS + 1)),
+            (REFINE_CONFIG, 0, 2),
             (with_lines(BASE_CONFIG, "estimators = structcovmle\nsolver.iter = 3"), 4, 0),
         ],
         ids=["refine_only", "mm_only"],
@@ -666,14 +671,14 @@ class TestCliMain:
         assert not (tmp_path / "out").exists()
 
     def test_estimate_trace_writes_refine_rounds(self, tmp_path, capsys):
-        # one row per round (ROUNDS + 1), and the k-atom cost of the reported
-        # estimate never rises from one round to the next
+        # one row per round (round 0 alone), and the k-atom cost of the
+        # reported estimate never rises from one round to the next
         path = tmp_path / "exp.cfg"
         path.write_text(REFINE_CONFIG)
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path), "--trace"]) == 0
         rows = (tmp_path / "tiny_refine_rounds.csv").read_text().splitlines()
         assert rows[0] == "round,grid_size,sbl_iters,sbl_cost,atom_cost"
-        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(ROUNDS + 1))
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [0]
         costs = [float(r.split(",")[4]) for r in rows[1:]]
         assert all(math.isfinite(c) for c in costs)
         assert all(b <= a for a, b in zip(costs, costs[1:])), costs
@@ -722,7 +727,7 @@ class TestCliMain:
         assert "spectrum.grid" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
-    @pytest.mark.parametrize("positions", ["0,inf", "0,nan", "0,1,x"])
+    @pytest.mark.parametrize("positions", ["0,inf", "0,nan", "0,1,x", "0,,1", "0,1,"])
     def test_bad_positions_are_config_errors(self, capsys, positions):
         assert main(["describe-geometry", "--positions", positions]) == 2
         assert "config error" in capsys.readouterr().err
