@@ -562,8 +562,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1, svg: bool = Fa
         "elapsed_s": time.time() - started,
         **{key: sum(rec.get(key, 0) for rec in records) for key in SOLVER_COUNTERS},
         "sbl_runs": len(sbl_runs),
-        "sbl_cap_hits": sum(rnd["sbl_cap_hit"] for rnd in sbl_runs),
+        "sbl_cap_hits": sum(rnd["sbl_stop"] == "cap" for rnd in sbl_runs),
+        "sbl_rises": sum(rnd["sbl_stop"] == "rise" for rnd in sbl_runs),
         "sbl_iters": sum(rnd["sbl_iters"] for rnd in sbl_runs),
+        # a round whose finish raised has no finish_capped
+        "refine_finish_cap_hits": sum(rnd.get("finish_capped", False) for rnd in sbl_runs),
         "cells": meta_cells,
     }
     with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:

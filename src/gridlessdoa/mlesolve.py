@@ -54,16 +54,19 @@ class SolverError(Exception):
 
 # Barrier path of every subproblem solve: one (mu, bound on the squared Newton
 # decrement) row per stage, mu falling 10x.  Path following needs only loose
-# centring, lambda <= 1/10 (Boyd & Vandenberghe, Convex Optimization, 9.5.1 and
-# 11.5); bound 0 leaves the last stage to the stall rule, which fixes the point
-# to rounding.  Each stage takes at most MAX_NEWTON Newton steps of at most
-# MAX_BACKTRACKS halvings; the predicted start of the next stage gets at most
-# PREDICTOR_HALVINGS halvings.  An MM/EM solve may end after any stage with
-# mu <= GAP_STOP_MU, once A * mu (A the Toeplitz order), the central-path gap
-# bound of the log-det barrier, is at most the decrease of the barrier-free
-# objective from the solve's start (``solve_subproblem``).
-BARRIER_STAGES = tuple((10.0**-k, 1e-2) for k in range(2, 9)) + ((1e-9, 0.0),)
-GAP_STOP_MU = 1e-6
+# centring, here lambda <= 1/2 (Boyd & Vandenberghe, Convex Optimization, 9.5.1
+# and 11.3.1); bound 0 leaves the last stage to the stall rule, which fixes the
+# point to rounding.  Each stage takes at most MAX_NEWTON Newton steps of at
+# most MAX_BACKTRACKS halvings; the predicted start of the next stage gets at
+# most PREDICTOR_HALVINGS halvings.  An MM/EM solve may end after any stage
+# with mu <= GAP_STOP_MU, once A * mu (A the Toeplitz order), the gap bound of
+# the log-det barrier's central path, is at most the decrease of the
+# barrier-free objective from the solve's start (``solve_subproblem``).  The
+# floor keeps that test to stages whose bound is small: at 1e-3 the
+# fig_resolution estimates move by up to 4.5e-3 in u from those of a 1e-6
+# floor with bounds of 1e-2, at 1e-4 by up to 4.9e-4.
+BARRIER_STAGES = tuple((10.0**-k, 0.25) for k in range(2, 9)) + ((1e-9, 0.0),)
+GAP_STOP_MU = 1e-4
 MAX_NEWTON = 80
 MAX_BACKTRACKS = 60
 PREDICTOR_HALVINGS = 3
@@ -357,10 +360,11 @@ class _Resume:
 
     Consecutive subproblems of one MM/EM run share the constraint
     ``Toep(v) >= 0`` and differ only in weights and data, so the point where
-    the last solve's first stage ended is strictly feasible for the next
-    solve and near its central path at the first stage's mu.  An MM/EM run
-    seeds ``x`` with its start, the unit lag vector (``Toep = I``: strictly
-    feasible and central), which is also where a standalone solve starts.
+    the last solve's first stage ended, centred to that stage's decrement
+    bound, is strictly feasible for the next solve and near its central path
+    at the first stage's mu.  An MM/EM run seeds ``x`` with its start, the
+    unit lag vector (``Toep = I``: strictly feasible and central), which is
+    also where a standalone solve starts.
     Each solve replaces ``x`` with the point its first stage ended on.
     ``gap_stop``, set by the MM/EM run only, lets each solve end its path
     early on the gap bound (``GAP_STOP_MU``); a standalone solve or a bare
@@ -399,12 +403,15 @@ def solve_subproblem(
     ``resume.gap_stop`` set, the path also ends after any stage with
     ``mu <= GAP_STOP_MU`` whose end x satisfies ``A * mu <= F(start) - F(x)``
     (a counted ``gap_stops``): F is the normalized objective without the
-    barrier and A the Toeplitz order, so ``A * mu`` bounds how far x is above
-    the subproblem's minimum and x keeps about half or more of the decrease
-    the full path would make.  The result is the better of ``start``, when
-    ``factor`` accepts it, and the point the path ended on, so it never has a
-    larger objective than a feasible start.  ``cfg`` sets nothing here; the
-    solve's Newton work is added to ``cfg.newton``.
+    barrier and A the Toeplitz order.  ``A * mu`` bounds how far the central
+    point x(mu) is above the subproblem's minimum; x is centred only to the
+    stage's decrement bound, so for x the bound is approximate, and the rule
+    is a stopping heuristic: x keeps roughly half or more of the decrease the
+    full path would make.  MM descent does not rest on it.  The result is the
+    better of ``start``, when ``factor`` accepts it, and the point the path
+    ended on, so it never has a larger objective than a feasible start.
+    ``cfg`` sets nothing here; the solve's Newton work is added to
+    ``cfg.newton``.
     """
     if resume is None:
         resume = _Resume(pack_lags(_unit_lags(weights.geometry)))

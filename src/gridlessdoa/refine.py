@@ -50,9 +50,10 @@ def gamma_opt(q: float, s: float) -> float:
     return float((q - s) / max(s, 1e-300) ** 2) if q > s else 0.0
 
 
-def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> DoaEstimate:
+def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> tuple[DoaEstimate, bool]:
     """The k-source estimate of an SBL state: its top-k peak atoms, with the
-    rest of the grid dropped and ``lam`` kept, refined on the k-atom likelihood.
+    rest of the grid dropped and ``lam`` kept, refined on the k-atom likelihood,
+    and whether the sweeps stopped at their cap.
 
     The atoms are directions u, powers gamma and dictionary columns phi.  Each
     sweep moves every atom j in turn by the sequential update of Tipping &
@@ -64,7 +65,7 @@ def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> Doa
     ``gamma_opt`` power (0 where q <= s).  The best power's cost falls as f
     rises, so the ascent is monotone and the k-atom cost never rises.  The
     sweeps stop when no atom moves more than ``FINISH_TOL``, or after
-    ``FINISH_SWEEPS``.
+    ``FINISH_SWEEPS`` with an atom still moving more (capped).
     """
     peaks = top_peaks(state.grid, state.gamma, k)
     u, gamma, phi = state.grid[peaks], state.gamma[peaks], state.dictionary[:, peaks]
@@ -102,8 +103,8 @@ def peak_adjust(state: SblState, r: np.ndarray, g: ArrayGeometry, k: int) -> Doa
             moved = max(moved, abs(x - u[j]))
             u[j], gamma[j], phi[:, j] = x, gamma_opt(q, s), manifold(x, g)
         if moved <= FINISH_TOL:
-            break
-    return DoaEstimate(u=u, powers=gamma)
+            return DoaEstimate(u=u, powers=gamma), False
+    return DoaEstimate(u=u, powers=gamma), True
 
 
 def atom_cost(est: DoaEstimate, lam: float, r: np.ndarray, g: ArrayGeometry) -> float:
@@ -146,10 +147,11 @@ def multires_refine(
     ``g_factor``-times finer resolution, and re-runs SBL and the finish;
     after r rounds the local resolution is ``(2/grid_size) / g_factor**r``.
     Each round's record goes to ``on_round`` as soon as its SBL run ends
-    (grid size, SBL cost, iterations, cap hit), so a round whose finish
-    raises is still reported; the finish then adds, in place, the
-    lowest-cost estimate so far, the earlier one on ties, as ``u_hat`` with
-    its ``atom_cost``.  That estimate is returned after the last round, so
+    (grid size, SBL cost, iterations, ``SblState.stop`` as ``sbl_stop``), so
+    a round whose finish raises is still reported; the finish then adds, in
+    place, whether its sweeps stopped at their cap (``finish_capped``) and
+    the lowest-cost estimate so far, the earlier one on ties, as ``u_hat``
+    with its ``atom_cost``.  That estimate is returned after the last round, so
     the reported cost never rises.  The next round's grid is built from the
     SBL state's peaks, not from the estimate.
     """
@@ -173,13 +175,13 @@ def multires_refine(
             "grid_size": int(state.grid.size),
             "sbl_cost": costs[-1],
             "sbl_iters": state.iters,
-            "sbl_cap_hit": state.capped,
+            "sbl_stop": state.stop,
         }
         if on_round is not None:
             on_round(record)
-        cand = peak_adjust(state, r_hat, g, k)
+        cand, capped = peak_adjust(state, r_hat, g, k)
         cand_cost = atom_cost(cand, state.lam, r_hat, g)
         if rnd == 0 or cand_cost < cost:
             est, cost = cand, cand_cost
-        record.update(u_hat=est.u.tolist(), atom_cost=cost)
+        record.update(finish_capped=capped, u_hat=est.u.tolist(), atom_cost=cost)
     return est

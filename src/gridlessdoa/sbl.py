@@ -10,7 +10,7 @@ run forms those once (``outer_products``) and each step reads C and (q, s)
 from them with one real matrix product each.  That step is the only one.
 A run stops on a small relative drop in the cost, on a rise (in every run
 measured, only rounding on an ill-conditioned C brought one), or at its
-iteration cap.
+iteration cap, and its state says which (``SblState.stop``).
 """
 
 from __future__ import annotations
@@ -32,14 +32,16 @@ class SblError(Exception):
 @dataclass(frozen=True)
 class SblState:
     """Grid, hyperparameters, the cached dictionary, and the iterations of the
-    ``sbl_run`` that produced it (``capped``: it stopped at its cap)."""
+    ``sbl_run`` that produced it with the reason it stopped: ``"drop"`` (a
+    small relative drop), ``"rise"`` (a rise or an unfactorable trial) or
+    ``"cap"`` (its iteration cap); ``None`` before any run."""
 
     grid: np.ndarray
     gamma: np.ndarray
     lam: float
     dictionary: np.ndarray
     iters: int = 0
-    capped: bool = False
+    stop: str | None = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -132,7 +134,7 @@ def sbl_run(
     decreases), or when a trial raises the cost or its covariance cannot be
     factored, which in every run measured came only from rounding on an
     ill-conditioned C.  Either way it returns the last accepted gamma.
-    ``iters`` counts iterations and ``capped`` says the cap stopped the run;
+    ``iters`` counts iterations and ``stop`` says which rule ended the run;
     ``cost_trace`` gets each iteration's accepted cost, which never rises,
     so its last entry is the returned gamma's cost.
     """
@@ -161,10 +163,10 @@ def sbl_run(
         if cost_trace is not None:
             cost_trace.append(cost)
         if rose or drop < tol * (start - cost):
-            return replace(state, gamma=gamma, iters=it)
+            return replace(state, gamma=gamma, iters=it, stop="rise" if rose else "drop")
         q, s = qs_columns(psi, cinv, r)
         trial = gamma * np.maximum(q, 0.0) / s
-    return replace(state, gamma=gamma, iters=max_iters, capped=True)
+    return replace(state, gamma=gamma, iters=max_iters, stop="cap")
 
 
 def top_peaks(grid: np.ndarray, gamma: np.ndarray, k: int) -> list[int]:

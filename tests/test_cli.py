@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridlessdoa import experiments, refine
+from gridlessdoa import experiments, refine, sbl
 from gridlessdoa.cli import main
 from gridlessdoa.experiments import (
     CONFIG_KEYS,
@@ -465,9 +465,27 @@ class TestRunExperiment:
         rounds = [rnd for t in range(2) for rnd in run_one_trial(cfg, 0, t)["results"]["refine"]["rounds"]]
         assert len(rounds) == 2 and meta["sbl_cap_hits"] == 0  # 2 trials, 1 round each
         assert meta["sbl_iters"] == sum(rnd["sbl_iters"] for rnd in rounds) > 4
-        assert meta["sbl_runs"] == len(rounds)
+        assert meta["sbl_runs"] == len(rounds) and meta["sbl_rises"] == 0
+        assert meta["refine_finish_cap_hits"] == sum(rnd["finish_capped"] for rnd in rounds)
         for path in tmp_path.glob("*.csv"):
             assert "sbl_iters" not in path.read_text()
+
+    def test_sbl_rises_in_meta(self, tmp_path, monkeypatch):
+        # q is blown up, so each SBL run's second trial raises the cost and
+        # ends the run: both trials' round records say so, and the meta
+        # counts the two rises apart from the cap hits
+        qs_columns = sbl.qs_columns
+
+        def inflated(*args):
+            q, s = qs_columns(*args)
+            return 1e6 * q, s
+
+        monkeypatch.setattr(sbl, "qs_columns", inflated)
+        cfg = parse_config(REFINE_CONFIG)
+        meta = run_experiment(cfg, tmp_path)
+        rounds = [rnd for t in range(2) for rnd in run_one_trial(cfg, 0, t)["results"]["refine"]["rounds"]]
+        assert [(rnd["sbl_stop"], rnd["sbl_iters"]) for rnd in rounds] == [("rise", 2)] * 2
+        assert (meta["sbl_rises"], meta["sbl_cap_hits"], meta["sbl_iters"]) == (2, 0, 4)
 
     def test_failed_refine_trials_keep_their_sbl_runs(self, tmp_path, monkeypatch):
         # round 0's finish fails after its SBL run, so each of the two trials

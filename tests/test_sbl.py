@@ -172,7 +172,7 @@ class TestSblRun:
         y = SnapshotMatrix(data=np.zeros((4, 3), dtype=complex))
         run = sbl_run(g, grid, y, lam=1.0, max_iters=200)
         assert np.all(run.gamma == 0.0)
-        assert not run.capped and run.iters < 200
+        assert run.stop != "cap" and run.iters < 200
 
     def test_cost_monotone(self):
         g = ArrayGeometry((0, 1, 2, 3, 7, 11))
@@ -214,11 +214,11 @@ class TestSblRun:
         grid = np.linspace(-1, 0.9, 12)
         y = SnapshotMatrix(data=np.zeros((4, 3), dtype=complex))
         capped = sbl_run(g, grid, y, lam=1.0, max_iters=7, tol=0.0)
-        assert (capped.iters, capped.capped) == (7, True)
+        assert (capped.iters, capped.stop) == (7, "cap")
         # one iteration is one factorization: the first evaluates the start,
         # and the drop at the second is below an infinite tolerance
         done = sbl_run(g, grid, y, lam=1.0, max_iters=7, tol=np.inf)
-        assert (done.iters, done.capped) == (2, False)
+        assert (done.iters, done.stop) == (2, "drop")
         np.testing.assert_array_equal(
             done.gamma, sbl_run(g, grid, y, lam=1.0, max_iters=2, tol=0.0).gamma
         )
@@ -244,12 +244,12 @@ class TestSblRun:
 
         calls = count_calls(None)
         capped = sbl_run(g, grid, y, lam=1.0, max_iters=25, tol=0.0)
-        assert capped.capped and len(calls) == capped.iters == 25
+        assert capped.stop == "cap" and len(calls) == capped.iters == 25
         calls = count_calls(3)
         costs: list[float] = []
         run = sbl_run(g, grid, y, lam=1.0, max_iters=1000, cost_trace=costs)
         assert costs[2] == costs[1]  # the rise is not accepted
-        assert (run.iters, run.capped) == (3, False) and len(calls) == len(costs) == 3
+        assert (run.iters, run.stop) == (3, "rise") and len(calls) == len(costs) == 3
 
     def test_unfactorable_trial_ends_the_run(self, monkeypatch):
         # a trial covariance that rounding leaves not positive definite ends
@@ -269,7 +269,7 @@ class TestSblRun:
         monkeypatch.setattr(nx, "chol_factor", chol)
         costs: list[float] = []
         run = sbl_run(g, grid, y, lam=1.0, max_iters=1000, cost_trace=costs)
-        assert (run.iters, run.capped) == (3, False) and len(calls) == len(costs) == 3
+        assert (run.iters, run.stop) == (3, "rise") and len(calls) == len(costs) == 3
         assert costs[2] == costs[1]
         monkeypatch.setattr(nx, "chol_factor", real)
         np.testing.assert_array_equal(run.gamma, sbl_run(g, grid, y, lam=1.0, max_iters=2, tol=0.0).gamma)
@@ -282,7 +282,7 @@ class TestSblRun:
         grid = -1.0 + 2.0 * np.arange(100) / 100
         y = simulate(SourceScene.from_snr((-0.42, 0.13), 10.0), g, 64, seed=9)
         state = sbl_run(g, grid, y, lam=1.0, max_iters=5000, tol=1e-6)
-        assert not state.capped
+        assert state.stop != "cap"
         q, s = q_s(state, scm(y))
         active = state.gamma > 1e-3 * state.gamma.max()
         assert np.abs(q[active] / s[active] - 1.0).max() < 1e-4
@@ -296,7 +296,7 @@ class TestSblRun:
         want, iters, capped = reference_run(g, grid, y, lam, 150, tol, want_costs)
         costs: list[float] = []
         got = sbl_run(g, grid, y, lam, max_iters=150, tol=tol, cost_trace=costs)
-        assert (got.iters, got.capped) == (iters, capped)
+        assert (got.iters, got.stop == "cap") == (iters, capped)
         assert np.abs(got.gamma - want.gamma).max() <= 1e-9 * want.gamma.max()
         np.testing.assert_allclose(costs, want_costs, rtol=1e-12)
 
@@ -330,16 +330,16 @@ class TestSblRun:
         rng = np.random.default_rng(8)
         loud = SnapshotMatrix(data=100.0 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))))
         runs = {
-            "converged": (g, grid, y, 1.0, 5000, 1e-6),
-            "capped": (g, grid, y, 1.0, 25, 0.0),
+            "drop": (g, grid, y, 1.0, 5000, 1e-6),
+            "cap": (g, grid, y, 1.0, 25, 0.0),
             # rounding in the cost of an ill-conditioned C makes a step rise
             "rise": (ArrayGeometry((0, 1, 2.5)), np.array([-0.7, -0.2, 0.3, 0.8]), loud, 1e-4, 300, 0.0),
         }
         for name, (geo, grd, snaps, lam, cap, tol) in runs.items():
             costs: list[float] = []
             state = sbl_run(geo, grd, snaps, lam, cap, tol, cost_trace=costs)
-            ended = {"converged": costs[-1] < costs[-2], "capped": state.capped, "rise": costs[-1] == costs[-2]}
-            assert ended[name] and state.capped == (name == "capped"), name
+            ended = {"drop": costs[-1] < costs[-2], "cap": len(costs) == cap, "rise": costs[-1] == costs[-2]}
+            assert ended[name] and state.stop == name, name
             assert costs[-1] == sbl_cost(state, scm(snaps)), name
 
     def test_validation(self):
